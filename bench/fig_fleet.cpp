@@ -48,16 +48,10 @@ struct Scale {
   std::uint64_t guests;
   int crash_hosts;
   std::size_t replicas;
-  /// Passes over the guest population in the sharded-engine routing bench
-  /// (more passes at the small CI scale keep the measured window honest).
-  int guest_rounds;
 };
 
-constexpr Scale kFull{"full", 10'000, 2'000, 1'000'000, 8, 2, 8};
-constexpr Scale kCi{"ci", 1'000, 200, 100'000, 4, 2, 40};
-
-constexpr std::size_t kShardWorkers = 4;
-constexpr double kMinShardedSpeedup = 2.0;
+constexpr Scale kFull{"full", 10'000, 2'000, 1'000'000, 8, 2};
+constexpr Scale kCi{"ci", 1'000, 200, 100'000, 4, 2};
 
 constexpr double kMinPlacementSpeedup = 5.0;
 
@@ -211,101 +205,6 @@ FleetRun run_fleet(const Scale& scale, std::size_t replica) {
   digest.add(run.placements_lost);
   digest.add(hup.trace().render());
   run.digest = digest.hash;
-  return run;
-}
-
-// ---------------------------------------------------------------------------
-// Sharded intra-replica guest routing: the same fleet's guest load expressed
-// as an event program — one event per (service, pass), tagged with the
-// service's task shard. A sharded engine runs same-timestamp chunks of
-// distinct services concurrently; each chunk routes its guests against its
-// own ServiceSwitch (shard-local state), folds a local FNV hash, and defers
-// the fold into the global digest, which therefore accumulates in schedule
-// order regardless of worker count. workers=1 is the sequential baseline the
-// digest must match bit-for-bit.
-
-struct ShardedGuestRun {
-  std::uint64_t digest = 0;
-  std::uint64_t routed = 0;
-  double seconds = 0;
-};
-
-struct ShardedGuestProgram {
-  sim::Engine* engine = nullptr;
-  std::vector<core::ServiceSwitch*> switches;
-  std::uint64_t per_chunk = 0;
-  Digest digest;
-  std::uint64_t routed = 0;
-};
-
-ShardedGuestRun run_sharded_guests(const Scale& scale, std::size_t replica,
-                                   std::size_t workers) {
-  util::global_logger().set_level(util::LogLevel::kOff);
-  core::MasterConfig config;
-  config.placement = core::PlacementPolicy::kWorstFit;
-  core::Hup hup(config);
-  add_fleet_hosts(hup, scale.hosts);
-  auto& repo = hup.add_repository("asp-repo");
-  hup.agent().register_asp("asp", "key");
-  const auto location =
-      must(repo.publish(image::web_content_image(1024 * 1024)));
-
-  ShardedGuestProgram program;
-  program.engine = &hup.engine();
-  program.per_chunk =
-      scale.guests / static_cast<std::uint64_t>(scale.services) + 1;
-  program.switches.reserve(static_cast<std::size_t>(scale.services));
-  const int base = static_cast<int>(replica) * scale.services;
-  for (int s = 0; s < scale.services; ++s) {
-    core::ServiceCreationRequest request;
-    request.credentials = {"asp", "key"};
-    request.service_name = "svc-" + std::to_string(base + s);
-    request.image_location = location;
-    request.requirement = {2, fleet_unit()};
-    hup.agent().service_creation(
-        request, [](auto reply, sim::SimTime) { must(std::move(reply)); });
-    hup.engine().run();
-    program.switches.push_back(hup.master().find_switch(request.service_name));
-    SODA_ENSURES(program.switches.back() != nullptr);
-  }
-
-  hup.engine().enable_sharding(workers);
-  const sim::SimTime t0 = hup.engine().now();
-  for (int round = 0; round < scale.guest_rounds; ++round) {
-    for (int s = 0; s < scale.services; ++s) {
-      hup.engine().schedule_at_sharded(
-          t0 + sim::SimTime::milliseconds(round + 1),
-          sim::Engine::shard_for_task(static_cast<std::uint32_t>(s)),
-          [p = &program, s] {
-            core::ServiceSwitch* sw =
-                p->switches[static_cast<std::size_t>(s)];
-            Digest local;
-            std::uint64_t n = 0;
-            for (std::uint64_t g = 0; g < p->per_chunk; ++g) {
-              const auto routed = sw->route();
-              if (!routed.ok()) break;
-              const core::BackEndEntry& entry = routed.value();
-              local.add(entry.address.value());
-              sw->on_request_complete(entry.address, entry.port);
-              ++n;
-            }
-            p->engine->defer([p, hash = local.hash, n] {
-              p->digest.add(hash);
-              p->routed += n;
-            });
-          });
-    }
-  }
-
-  ShardedGuestRun run;
-  const auto start = std::chrono::steady_clock::now();
-  hup.engine().run();
-  run.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-  program.digest.add(program.routed);
-  run.digest = program.digest.hash;
-  run.routed = program.routed;
   return run;
 }
 
@@ -519,28 +418,6 @@ int main(int argc, char** argv) {
   }
   const FleetRun& fleet = serial.front();
 
-  // ---- Sharded intra-replica execution: the guest-routing event program
-  // under the sequential engine, the sharded engine, and the sharded engine
-  // nested inside ParallelRunner replicas — all three must produce the same
-  // digest. The speedup is recorded alongside the core count; the >= 2x
-  // gate arms only on machines with at least kShardWorkers cores. ----
-  const std::size_t cores = std::thread::hardware_concurrency();
-  const ShardedGuestRun guests_seq0 = run_sharded_guests(scale, 0, 1);
-  const ShardedGuestRun guests_seq1 = run_sharded_guests(scale, 1, 1);
-  const ShardedGuestRun guests_sharded =
-      run_sharded_guests(scale, 0, kShardWorkers);
-  const auto guests_nested = runner.map(2, [&](std::size_t r) {
-    return run_sharded_guests(scale, r, kShardWorkers);
-  });
-  const bool sharded_identical =
-      guests_sharded.digest == guests_seq0.digest &&
-      guests_nested[0].digest == guests_seq0.digest &&
-      guests_nested[1].digest == guests_seq1.digest;
-  const double sharded_speedup = guests_sharded.seconds > 0
-                                     ? guests_seq0.seconds /
-                                           guests_sharded.seconds
-                                     : 0;
-
   // ---- Hot-path microbenches vs the seed layout. ----
   const PlacementBench placement = run_placement_bench(scale);
   const HeartbeatBench heartbeat = run_heartbeat_bench(scale);
@@ -566,11 +443,6 @@ int main(int argc, char** argv) {
   table.add_row({"guests", "routes/sec", format_count(guest_routes_per_sec)});
   table.add_row({"steady", "host-sim-sec/wall-sec",
                  format_count(host_sim_per_wall)});
-  table.add_row({"sharded", "guests routed",
-                 format_count(static_cast<double>(guests_sharded.routed))});
-  table.add_row(
-      {"sharded", "speedup vs sequential",
-       format_count(sharded_speedup)});
   table.add_row({"fault", "hosts declared dead",
                  format_count(static_cast<double>(fleet.host_failures))});
   table.add_row({"fault", "services recovered",
@@ -601,15 +473,6 @@ int main(int argc, char** argv) {
               identical ? "bit-identical to serial run"
                         : "MISMATCH vs serial run",
               scale.replicas, runner.thread_count());
-  const bool sharded_fast_enough =
-      cores < kShardWorkers || sharded_speedup >= kMinShardedSpeedup;
-  std::printf("sharded guest routing: %s at %zu workers, %.2fx sequential "
-              "(gate >= %.1fx on >= %zu cores; this machine: %zu)\n",
-              sharded_identical ? "bit-identical to sequential engine"
-                                : "MISMATCH vs sequential engine",
-              kShardWorkers, sharded_speedup, kMinShardedSpeedup,
-              kShardWorkers, cores);
-
   soda::bench::BenchReport report("BENCH_fleet.json", "soda-fleet");
   report.record("fleet_ramp",
                 {{"hosts", static_cast<double>(scale.hosts)},
@@ -647,20 +510,9 @@ int main(int argc, char** argv) {
   report.record("fleet_parallel",
                 {{"replicas", static_cast<double>(scale.replicas)},
                  {"identical_to_serial", identical ? 1.0 : 0.0}});
-  report.record(
-      "fleet_sharded",
-      {{"workers", static_cast<double>(kShardWorkers)},
-       {"cores", static_cast<double>(cores)},
-       {"guest_rounds", static_cast<double>(scale.guest_rounds)},
-       {"guests_routed", static_cast<double>(guests_sharded.routed)},
-       {"identical_to_sequential", sharded_identical ? 1.0 : 0.0},
-       {"sequential_seconds", guests_seq0.seconds},
-       {"sharded_seconds", guests_sharded.seconds},
-       {"speedup", sharded_speedup}});
   report.write();
   return identical && placement_fast && placement_zero_alloc &&
-                 heartbeat_zero_alloc && enough_guests && sharded_identical &&
-                 sharded_fast_enough
+                 heartbeat_zero_alloc && enough_guests
              ? 0
              : 1;
 }

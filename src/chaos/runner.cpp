@@ -218,9 +218,6 @@ ChaosReport run_scenario(const ChaosSpec& spec, const ChaosOptions& options) {
   core::MasterConfig config;
   config.placement = spec.placement;
   core::Hup hup(config);
-  // Sharded execution covers the whole scenario — build, faults, recovery —
-  // not just the steady state; every phase must digest identically.
-  hup.engine().enable_sharding(options.shard_workers);
   std::optional<InvariantChecker> checker;
   InvariantChecker::Options checker_options;
   checker_options.synthetic_violation_on_host_down =

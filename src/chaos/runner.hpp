@@ -32,10 +32,6 @@ struct ChaosOptions {
   /// differ. Falls back to spec.snapshot (the `# snapshot:` reproducer
   /// header) when empty.
   std::string from_checkpoint;
-  /// Worker lanes for the scenario engine's sharded execution
-  /// (Engine::enable_sharding); 1 = plain serial loop. Any value must yield
-  /// a bit-identical digest — the sharded-determinism test sweeps this.
-  std::size_t shard_workers = 1;
 };
 
 /// Everything one scenario run produces.

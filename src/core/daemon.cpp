@@ -413,25 +413,18 @@ void SodaDaemon::start_heartbeat(sim::SimTime interval, HeartbeatSink sink) {
   if (heartbeating_) return;
   heartbeating_ = true;
   heartbeat_next_ = engine_.now() + heartbeat_interval_;
-  heartbeat_event_ = engine_.schedule_after_sharded(
-      heartbeat_interval_, shard_key(), [this] { heartbeat_tick(); });
+  heartbeat_event_ = engine_.schedule_after(heartbeat_interval_,
+                                            [this] { heartbeat_tick(); });
 }
 
 void SodaDaemon::heartbeat_tick() {
-  // Host-sharded event: the tick body only reads daemon-local flags; the
-  // sink (Master wheel re-arm — global state) and the reschedule (event
-  // queue) are effects, deferred to the serial commit. Without sharding the
-  // defer runs inline, which is byte-for-byte the pre-sharding behaviour.
   if (!heartbeating_) return;
-  engine_.defer([this] {
-    if (!heartbeating_) return;
-    // A dead host sends nothing, but the loop keeps ticking so heartbeats
-    // resume by themselves once the host recovers.
-    if (alive_) heartbeat_sink_(*this, engine_.now());
-    heartbeat_next_ = engine_.now() + heartbeat_interval_;
-    heartbeat_event_ = engine_.schedule_after_sharded(
-        heartbeat_interval_, shard_key(), [this] { heartbeat_tick(); });
-  });
+  // A dead host sends nothing, but the loop keeps ticking so heartbeats
+  // resume by themselves once the host recovers.
+  if (alive_) heartbeat_sink_(*this, engine_.now());
+  heartbeat_next_ = engine_.now() + heartbeat_interval_;
+  heartbeat_event_ = engine_.schedule_after(heartbeat_interval_,
+                                            [this] { heartbeat_tick(); });
 }
 
 void SodaDaemon::restore_heartbeat(sim::SimTime interval, HeartbeatSink sink,
@@ -446,8 +439,7 @@ void SodaDaemon::restore_heartbeat(sim::SimTime interval, HeartbeatSink sink,
 void SodaDaemon::rearm_heartbeat_at(sim::SimTime when) {
   SODA_EXPECTS(heartbeating_ && heartbeat_sink_ != nullptr);
   heartbeat_next_ = when;
-  heartbeat_event_ = engine_.schedule_at_sharded(when, shard_key(),
-                                                 [this] { heartbeat_tick(); });
+  heartbeat_event_ = engine_.schedule_at(when, [this] { heartbeat_tick(); });
 }
 
 void SodaDaemon::save_state(snapshot::Writer& writer) const {

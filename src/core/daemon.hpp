@@ -166,16 +166,6 @@ class SodaDaemon {
   /// Delivered on each heartbeat tick while the daemon is alive.
   using HeartbeatSink = std::function<void(SodaDaemon&, sim::SimTime)>;
 
-  /// Shard-affinity key for this daemon's periodic events (heartbeat
-  /// ticks): the host's dense registration index. An unregistered daemon's
-  /// invalid id maps exactly onto Engine::kNoShard, so its events stay
-  /// serial barriers. Tags are execution hints only — they change nothing
-  /// unless the engine enables sharding, and every (re-)arm path re-applies
-  /// them, so snapshots never carry them.
-  [[nodiscard]] sim::Engine::ShardKey shard_key() const noexcept {
-    return sim::Engine::shard_for_host(host_id_.value);
-  }
-
   /// Starts the periodic heartbeat loop (idempotent). Ticks are swallowed
   /// while the host is down and resume on recover(). While the loop runs the
   /// engine always has a pending event — drive the simulation with

@@ -78,8 +78,6 @@ void HealthMonitor::start() {
 }
 
 void HealthMonitor::tick() {
-  // Deliberately untagged (a serial barrier under a sharded engine): the
-  // probe walks the whole service table and flips switch health fleet-wide.
   if (!running_) return;
   probe_once();
   tick_next_ = engine_.now() + interval_;

@@ -49,10 +49,6 @@ void RecoveryManager::start(FailureDetectorConfig config) {
 }
 
 void RecoveryManager::tick() {
-  // Deliberately untagged: the detector sweep reads every host's freshness
-  // and can trigger Master-wide recovery placement, so under a sharded
-  // engine it must stay a serial barrier. The schedule-sequence position of
-  // the barrier is preserved exactly (DESIGN.md §15).
   if (!running_) return;
   check_once();
   tick_next_ = engine_.now() + config_.heartbeat_interval;

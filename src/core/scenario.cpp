@@ -71,6 +71,10 @@ Result<long long> arg_int(const ScenarioCommand& cmd, const std::string& raw) {
   return *value;
 }
 
+/// Largest IP pool a `host` line may ask for: a /16, far above the paper's
+/// 16-address pools, and small enough that a typo cannot exhaust memory.
+constexpr long long kMaxPoolSize = 65'536;
+
 std::string error_at(int line, const std::string& message) {
   return "line " + std::to_string(line) + ": " + message;
 }
@@ -306,7 +310,23 @@ Status execute(Runtime& rt, const ScenarioCommand& cmd) {
     if (cmd.args.size() == 3) {
       auto parsed = arg_int(cmd, cmd.args[2]);
       if (!parsed.ok()) return parsed.error();
+      if (parsed.value() < 1 || parsed.value() > kMaxPoolSize) {
+        return Error{error_at(cmd.line, "pool size must be 1.." +
+                                            std::to_string(kMaxPoolSize))};
+      }
       size = static_cast<std::size_t>(parsed.value());
+    }
+    if (start->value() + std::uint64_t{size} > (std::uint64_t{1} << 32)) {
+      return Error{error_at(cmd.line, "pool runs past 255.255.255.255")};
+    }
+    // Hup::add_host treats overlapping pools as a programming error; from a
+    // script they are bad input.
+    const net::IpPool pool(*start, size);
+    for (const SodaDaemon* daemon : rt.hup().master().daemons()) {
+      if (!net::IpPool::disjoint(daemon->host().ip_pool(), pool)) {
+        return Error{error_at(cmd.line, "pool overlaps the pool of host " +
+                                            daemon->host_name())};
+      }
     }
     // Scripted hosts need unique names when the same spec repeats.
     spec.name = cmd.args[0] + (rt.hosts_added ? "-" + std::to_string(rt.hosts_added)

@@ -1,66 +1,12 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-#include <thread>
-
-#include "sim/worker_pool.hpp"
 #include "util/contract.hpp"
 
 namespace soda::sim {
 
-namespace {
-
-/// The effect sink of the sharded callback currently running on this thread.
-/// Keyed by engine so nested parallelism (a sharded Engine inside each
-/// ParallelRunner replica) routes defers to the right buffer: a pool worker
-/// of engine A never holds a sink for engine B.
-struct EffectContext {
-  const Engine* engine = nullptr;
-  std::vector<InlineCallback>* effects = nullptr;
-};
-thread_local EffectContext tls_effect_context;
-
-struct ScopedEffectSink {
-  ScopedEffectSink(const Engine* engine, std::vector<InlineCallback>* effects) {
-    tls_effect_context = {engine, effects};
-  }
-  ~ScopedEffectSink() { tls_effect_context = {}; }
-};
-
-}  // namespace
-
-Engine::Engine() = default;
-Engine::~Engine() = default;
-
-std::vector<InlineCallback>* Engine::effect_sink() const noexcept {
-  const EffectContext& context = tls_effect_context;
-  return context.engine == this ? context.effects : nullptr;
-}
-
-void Engine::enable_sharding(std::size_t workers) {
-  SODA_EXPECTS(tls_effect_context.engine == nullptr);
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  if (workers <= 1) {
-    pool_.reset();
-    return;
-  }
-  pool_ = std::make_unique<WorkerPool>(workers);
-}
-
-std::size_t Engine::shard_workers() const noexcept {
-  return pool_ ? pool_->thread_count() : 1;
-}
-
 std::uint64_t Engine::run() { return run_until(SimTime::max()); }
 
 std::uint64_t Engine::run_until(SimTime deadline) {
-  return pool_ ? run_until_sharded(deadline) : run_until_serial(deadline);
-}
-
-std::uint64_t Engine::run_until_serial(SimTime deadline) {
   stop_requested_ = false;
   std::uint64_t fired = 0;
   while (!queue_.empty() && !stop_requested_) {
@@ -75,105 +21,6 @@ std::uint64_t Engine::run_until_serial(SimTime deadline) {
   // so back-to-back run_until calls observe monotonic time.
   if (now_ < deadline && deadline < SimTime::max()) now_ = deadline;
   return fired;
-}
-
-std::uint64_t Engine::run_until_sharded(SimTime deadline) {
-  stop_requested_ = false;
-  std::uint64_t fired = 0;
-  while (!queue_.empty() && !stop_requested_) {
-    const SimTime time = queue_.next_time();
-    if (time > deadline) break;
-
-    if (queue_.next_shard() == kNoShard) {
-      // Untagged event: serial barrier, identical to the plain loop. Its
-      // defer() calls run inline (no sink installed).
-      auto event = queue_.pop();
-      SODA_ENSURES(event.time >= now_);
-      now_ = event.time;
-      event.callback();
-      ++fired;
-      continue;
-    }
-
-    // Collect the maximal contiguous run of same-timestamp tagged events, in
-    // heap order — i.e. in schedule-sequence order. Stopping at the first
-    // untagged entry (even with tagged ones behind it at the same time)
-    // keeps the barrier in its exact sequence position.
-    now_ = time;
-    batch_size_ = 0;
-    do {
-      if (batch_.size() == batch_size_) batch_.emplace_back();
-      BatchItem& item = batch_[batch_size_];
-      auto event = queue_.pop();
-      item.shard = event.shard;
-      item.callback = std::move(event.callback);
-      item.effects.clear();
-      ++batch_size_;
-    } while (!queue_.empty() && queue_.next_time() == time &&
-             queue_.next_shard() != kNoShard);
-    fired += batch_size_;
-    execute_batch();
-  }
-  if (now_ < deadline && deadline < SimTime::max()) now_ = deadline;
-  return fired;
-}
-
-void Engine::execute_batch() {
-  if (batch_size_ == 1) {
-    // Single-event batch: run inline with no sink, so its defers execute
-    // immediately — indistinguishable from the batch commit (the event is
-    // the whole batch) and free of pool wake-up cost. Chaos-scale runs are
-    // dominated by batches of one; this keeps sharding overhead near zero.
-    batch_[0].callback();
-    batch_[0].callback = InlineCallback();
-    return;
-  }
-
-  // Group batch members by shard key, preserving sequence order inside each
-  // group: events of one shard mutate the same state and must run in
-  // schedule order on one lane. A stable sort over the (small) batch gives
-  // order-preserving groups without a hash map.
-  order_.resize(batch_size_);
-  for (std::size_t i = 0; i < batch_size_; ++i) {
-    order_[i] = static_cast<std::uint32_t>(i);
-  }
-  std::stable_sort(order_.begin(), order_.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     return batch_[a].shard < batch_[b].shard;
-                   });
-
-  // Group boundaries: order_[begin..end) share one shard key. The scratch
-  // is a member so pool workers (and concurrently-running sibling engines
-  // under a ParallelRunner) each see their own engine's groups.
-  groups_.clear();
-  std::uint32_t begin = 0;
-  for (std::uint32_t i = 1; i <= batch_size_; ++i) {
-    if (i == batch_size_ ||
-        batch_[order_[i]].shard != batch_[order_[begin]].shard) {
-      groups_.push_back({begin, i});
-      begin = i;
-    }
-  }
-
-  pool_->run(groups_.size(), [this](std::size_t g) {
-    const auto [first, last] = groups_[g];
-    for (std::uint32_t i = first; i < last; ++i) {
-      BatchItem& item = batch_[order_[i]];
-      ScopedEffectSink sink(this, &item.effects);
-      item.callback();
-      item.callback = InlineCallback();
-    }
-  });
-
-  // Commit buffered effects serially in (seq, call) order — the same order
-  // the serial engine would have produced, so cross-shard schedules,
-  // cancels, publishes and digest folds land identically.
-  for (std::size_t i = 0; i < batch_size_; ++i) {
-    for (InlineCallback& effect : batch_[i].effects) {
-      effect();
-    }
-    batch_[i].effects.clear();
-  }
 }
 
 }  // namespace soda::sim

@@ -1,29 +1,15 @@
 // The discrete-event engine driving every SODA experiment. Components
 // schedule callbacks against the engine's clock; run() fires them in time
-// order. By default execution is single-threaded and all model state is
-// engine-owned; determinism matters more than wall-clock speed for a
-// reproduction harness.
-//
-// Two layers of parallelism sit on top, both bit-identical to the serial
-// loop (DESIGN.md §15):
-//  - sim/parallel_runner.hpp runs one Engine per worker across independent
-//    replicas (parallelism *between* runs);
-//  - enable_sharding() parallelizes *within* one run: events scheduled with
-//    a shard-affinity tag (schedule_*_sharded) promise to touch only that
-//    shard's state, so same-timestamp events with distinct tags execute
-//    concurrently on a reusable WorkerPool. Everything a sharded callback
-//    wants to do to shared state — schedule, cancel, publish, fold a digest
-//    — must go through defer(), whose closures the engine commits serially
-//    in (time, seq) order at the batch boundary. Untagged events are serial
-//    barriers. The merged trace is therefore identical to the sequential
-//    engine by construction, not by luck.
+// order. Execution is single-threaded and all model state is engine-owned;
+// determinism matters more than wall-clock speed for a reproduction harness.
+// Parallelism lives one layer up: sim/parallel_runner.hpp runs one Engine
+// per worker across independent replicas, bit-identical to a serial loop
+// (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -31,11 +17,7 @@
 
 namespace soda::sim {
 
-class WorkerPool;
-
-/// Discrete-event simulation engine. Driven from one thread; with sharding
-/// enabled, callbacks of same-timestamp tagged events run on pool workers
-/// but the engine's own state is only ever mutated on the driving thread.
+/// Discrete-event simulation engine, driven from one thread.
 class Engine {
  public:
   /// Kept for call sites that store callbacks before scheduling them; the
@@ -43,28 +25,7 @@ class Engine {
   /// InlineCallback::kInlineCapacity bytes are stored without allocating).
   using Callback = std::function<void()>;
 
-  /// Shard-affinity key. Any dense small integer works; the natural keys in
-  /// SODA are interned HostId indices (heartbeats, slice updates) and
-  /// traffic stream indices. kNoShard = "touches anything, run serially".
-  using ShardKey = std::uint32_t;
-  static constexpr ShardKey kNoShard = EventQueue::kNoShard;
-
-  /// Disjoint key sub-spaces for SODA's natural affinity domains, so a host
-  /// and a traffic stream with the same dense index land on different
-  /// shards. Collisions would only narrow batches (events of one shard
-  /// serialize onto one lane) — determinism never depends on the key choice.
-  static constexpr ShardKey shard_for_host(std::uint32_t index) noexcept {
-    return index;
-  }
-  static constexpr ShardKey shard_for_stream(std::uint32_t index) noexcept {
-    return 0x40000000u + index;
-  }
-  static constexpr ShardKey shard_for_task(std::uint32_t index) noexcept {
-    return 0x80000000u + index;
-  }
-
-  Engine();
-  ~Engine();
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -75,7 +36,6 @@ class Engine {
   template <typename F>
   EventId schedule_after(SimTime delay, F&& callback) {
     SODA_EXPECTS(delay >= SimTime::zero());
-    SODA_EXPECTS(effect_sink() == nullptr);
     return queue_.schedule(now_ + delay, std::forward<F>(callback));
   }
 
@@ -83,65 +43,11 @@ class Engine {
   template <typename F>
   EventId schedule_at(SimTime when, F&& callback) {
     SODA_EXPECTS(when >= now_);
-    SODA_EXPECTS(effect_sink() == nullptr);
     return queue_.schedule(when, std::forward<F>(callback));
   }
 
-  /// schedule_after() with a shard-affinity tag: `callback` promises to
-  /// touch only shard-local state plus immutable globals, routing shared
-  /// mutations through defer(). Tags are execution hints — a serial engine
-  /// ignores them, and they are never serialized into snapshots (re-arm
-  /// paths re-tag on load).
-  template <typename F>
-  EventId schedule_after_sharded(SimTime delay, ShardKey shard, F&& callback) {
-    SODA_EXPECTS(delay >= SimTime::zero());
-    SODA_EXPECTS(effect_sink() == nullptr);
-    return queue_.schedule_sharded(now_ + delay, shard,
-                                   std::forward<F>(callback));
-  }
-
-  /// schedule_at() with a shard-affinity tag.
-  template <typename F>
-  EventId schedule_at_sharded(SimTime when, ShardKey shard, F&& callback) {
-    SODA_EXPECTS(when >= now_);
-    SODA_EXPECTS(effect_sink() == nullptr);
-    return queue_.schedule_sharded(when, shard, std::forward<F>(callback));
-  }
-
   /// Cancels a pending event; returns false if it already fired.
-  /// Not callable from inside a sharded callback — cross-shard cancellation
-  /// goes through defer(), where commit order makes the winner deterministic.
-  bool cancel(EventId id) {
-    SODA_EXPECTS(effect_sink() == nullptr);
-    return queue_.cancel(id);
-  }
-
-  /// Runs `fn` in the serial context. From a sharded callback the closure is
-  /// buffered and committed at the batch boundary — all buffered effects run
-  /// on the driving thread in (time, seq, call) order, so two shards racing
-  /// to e.g. cancel the same event resolve by sequence number, exactly as
-  /// the serial engine would. Outside a sharded callback `fn` runs inline,
-  /// so shared code paths behave identically under both engines. Contract:
-  /// deferred closures must capture by value anything shard-local they need
-  /// (the commit runs after every shard in the batch has finished).
-  template <typename F>
-  void defer(F&& fn) {
-    if (auto* sink = effect_sink()) {
-      sink->emplace_back(std::forward<F>(fn));
-    } else {
-      fn();
-    }
-  }
-
-  /// Turns on intra-run sharded execution with `workers` pool lanes
-  /// (0 picks hardware concurrency; <= 1 disables and returns to the plain
-  /// serial loop). Only legal between runs, not from inside a callback.
-  /// Execution with any worker count is bit-identical to the serial engine
-  /// as long as tagged callbacks honour the shard contract above.
-  void enable_sharding(std::size_t workers);
-
-  /// Pool lanes used for tagged same-timestamp batches (1 = serial loop).
-  [[nodiscard]] std::size_t shard_workers() const noexcept;
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs until no events remain. Returns the number of events fired.
   std::uint64_t run();
@@ -150,8 +56,7 @@ class Engine {
   /// still fire) or no events remain. Returns the number of events fired.
   std::uint64_t run_until(SimTime deadline);
 
-  /// Requests that run()/run_until() return after the current event (with
-  /// sharding enabled: after the current batch commits).
+  /// Requests that run()/run_until() return after the current event.
   void stop() noexcept { stop_requested_ = true; }
 
   /// Number of pending events.
@@ -172,34 +77,9 @@ class Engine {
   }
 
  private:
-  /// One member of an in-flight same-timestamp batch. `effects` collects the
-  /// callback's defer()ed closures; reused across batches so the steady
-  /// state allocates nothing.
-  struct BatchItem {
-    ShardKey shard = kNoShard;
-    InlineCallback callback;
-    std::vector<InlineCallback> effects;
-  };
-
-  /// Effect buffer of the sharded callback currently running on *this*
-  /// thread for *this* engine, or null in the serial context. Thread-local
-  /// under the hood, so nested engines (a sharded Engine per ParallelRunner
-  /// replica) never see each other's sinks.
-  [[nodiscard]] std::vector<InlineCallback>* effect_sink() const noexcept;
-
-  std::uint64_t run_until_serial(SimTime deadline);
-  std::uint64_t run_until_sharded(SimTime deadline);
-  void execute_batch();
-
   SimTime now_ = SimTime::zero();
   EventQueue queue_;
   bool stop_requested_ = false;
-
-  std::unique_ptr<WorkerPool> pool_;  // null = serial execution
-  std::vector<BatchItem> batch_;      // reused batch scratch
-  std::size_t batch_size_ = 0;
-  std::vector<std::uint32_t> order_;  // batch indices grouped by shard
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> groups_;
 };
 
 }  // namespace soda::sim

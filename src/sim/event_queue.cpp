@@ -24,7 +24,6 @@ std::uint32_t EventQueue::grow_slab() {
     chunks_.push_back(std::make_unique<Callback[]>(kChunkSlots));
   }
   meta_.push_back(1u << 1);  // generation 1, not pending
-  shard_.push_back(kNoShard);
   return slot;
 }
 
@@ -76,7 +75,7 @@ std::size_t EventQueue::footprint_bytes() const noexcept {
   return heap_.capacity() * sizeof(HeapEntry) +
          chunks_.size() * kChunkSlots * sizeof(Callback) +
          chunks_.capacity() * sizeof(chunks_[0]) +
-         (meta_.capacity() + shard_.capacity()) * sizeof(std::uint32_t);
+         meta_.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace soda::sim

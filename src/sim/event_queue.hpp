@@ -51,26 +51,11 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Shard affinity tag carried by every pending event. kNoShard (the
-  /// default) marks an event that may touch any state — the sharded engine
-  /// treats it as a serial barrier. Any other value promises the callback
-  /// only touches that shard's state (see sim/engine.hpp and DESIGN.md §15),
-  /// so same-timestamp events with distinct tags may run concurrently. Tags
-  /// are execution hints, not model state: they are never serialized, and a
-  /// serial engine ignores them entirely.
-  static constexpr std::uint32_t kNoShard = 0xffffffffu;
-
   /// Schedules `callback` at absolute time `when`. Returns a cancellation id.
   /// Accepts any `void()` callable; captures up to
   /// InlineCallback::kInlineCapacity bytes are stored without allocating.
   template <typename F>
   EventId schedule(SimTime when, F&& callback) {
-    return schedule_sharded(when, kNoShard, std::forward<F>(callback));
-  }
-
-  /// schedule() with an explicit shard-affinity tag.
-  template <typename F>
-  EventId schedule_sharded(SimTime when, std::uint32_t shard, F&& callback) {
     if (next_seq_ == std::numeric_limits<std::uint32_t>::max()) {
       renumber_seqs();
     }
@@ -79,7 +64,6 @@ class EventQueue {
     // throws, the slot is merely left un-pending (and unreferenced) and the
     // heap stays consistent.
     callback_at(slot).emplace(std::forward<F>(callback));
-    shard_[slot] = shard;
     const std::uint32_t meta = meta_[slot] | kPendingBit;
     meta_[slot] = meta;
     heap_.push_back(HeapEntry{slot, next_seq_++, when.ns()});
@@ -106,19 +90,9 @@ class EventQueue {
     return SimTime::nanoseconds(heap_.front().time_ns);
   }
 
-  /// Shard tag of the earliest pending event; queue must be non-empty. The
-  /// sharded engine peeks this (after next_time()) to decide between the
-  /// serial-barrier and parallel-batch paths.
-  [[nodiscard]] std::uint32_t next_shard() {
-    skim_cancelled();
-    SODA_EXPECTS(!heap_.empty());
-    return shard_[heap_.front().slot];
-  }
-
   /// Removes and returns the earliest pending event; queue must be non-empty.
   struct Fired {
     SimTime time;
-    std::uint32_t shard;
     Callback callback;
   };
   Fired pop() {
@@ -130,8 +104,7 @@ class EventQueue {
     // root sift-down, then move the callback out with a warm cache.
     __builtin_prefetch(&stored, /*rw=*/1);
     pop_root();
-    Fired fired{SimTime::nanoseconds(top.time_ns), shard_[top.slot],
-                std::move(stored)};
+    Fired fired{SimTime::nanoseconds(top.time_ns), std::move(stored)};
     release_slot(top.slot);
     return fired;
   }
@@ -353,7 +326,6 @@ class EventQueue {
   std::vector<HeapEntry> heap_;
   std::vector<std::unique_ptr<Callback[]>> chunks_;  // slab, stable addresses
   std::vector<std::uint32_t> meta_;                  // parallel to the slab
-  std::vector<std::uint32_t> shard_;                 // parallel to the slab
   std::uint32_t free_head_ = kNoFreeSlot;
   std::uint32_t next_seq_ = 1;
   std::size_t dead_in_heap_ = 0;

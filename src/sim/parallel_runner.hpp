@@ -3,8 +3,7 @@
 // each worker drives its own Engine, seeds derive deterministically from the
 // replica index, and results land in a replica-indexed vector — so the
 // merged output is bit-identical to a serial loop no matter how the OS
-// schedules the workers. (The engine itself can additionally shard *within*
-// one run — see Engine::enable_sharding — on its own nested WorkerPool.)
+// schedules the workers. A single run stays on one thread (sim/engine.hpp).
 #pragma once
 
 #include <cstddef>

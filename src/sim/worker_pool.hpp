@@ -1,10 +1,8 @@
-// A reusable pool of parked worker threads for index-space fan-out. Both
-// layers of SODA parallelism share it: sim/parallel_runner.hpp fans whole
-// replicas across it, and sim/engine.hpp dispatches same-timestamp sharded
-// event batches onto it (DESIGN.md §15). Threads are spawned once and parked
-// on a condition variable between jobs, so per-dispatch cost is a wake + a
-// join instead of thread creation — the event engine dispatches thousands of
-// small batches per run and cannot afford a pthread_create per batch.
+// A reusable pool of parked worker threads for index-space fan-out.
+// sim/parallel_runner.hpp fans whole replicas across it (DESIGN.md §6).
+// Threads are spawned once and parked on a condition variable between jobs,
+// so per-dispatch cost is a wake + a join instead of thread creation — a
+// sweep that calls ParallelRunner::run repeatedly reuses the same threads.
 #pragma once
 
 #include <atomic>
@@ -22,8 +20,7 @@ namespace soda::sim {
 /// Fixed-size pool executing `job(i)` for i in [0, n). The calling thread
 /// participates, so a pool of `threads` runs `threads` lanes total with
 /// `threads - 1` parked std::threads. Not reentrant: one dispatch at a time
-/// per pool (nested parallelism wants nested pools, e.g. one per sharded
-/// Engine under a ParallelRunner).
+/// per pool, so a job that fans out again needs a pool of its own.
 class WorkerPool {
  public:
   /// `threads` = 0 picks std::thread::hardware_concurrency(); 1 spawns no

@@ -328,22 +328,11 @@ void TrafficEngine::schedule_next(Stream& stream) {
         sim::SimTime::seconds(stream.rng.exponential(1.0 / rate));
     stream.next_arrival = engine_.now() + gap;
   }
-  // The queue is shared — from a sharded arrival the schedule is an effect.
-  const sim::SimTime when = stream.next_arrival;
-  engine_.defer([this, index, when] {
-    engine_.schedule_at_sharded(when, sim::Engine::shard_for_stream(
-                                          static_cast<std::uint32_t>(index)),
-                                [this, index] { arrival_fire(index); });
-  });
+  engine_.schedule_at(stream.next_arrival,
+                      [this, index] { arrival_fire(index); });
 }
 
 void TrafficEngine::arrival_fire(std::size_t index) {
-  // Stream-sharded event: the body touches only this stream (counter, RNG,
-  // next-arrival cursor). The injection walks the shared switch/FlowNetwork
-  // and the reschedule touches the queue, so both are deferred — and in
-  // inject-then-schedule order, matching the serial engine's seq
-  // allocation. Moving the RNG draw ahead of the inject is unobservable:
-  // injection never reads the stream's RNG.
   Stream& s = streams_[index];
   if (!s.trace.is_file()) {
     const double at = (engine_.now() - s.t0).to_seconds();
@@ -355,8 +344,7 @@ void TrafficEngine::arrival_fire(std::size_t index) {
   ++s.scheduled;
   // Open loop: the arrival fires regardless of outstanding completions;
   // its latency clock starts *now*, the scheduled time.
-  const sim::SimTime at = engine_.now();
-  engine_.defer([&s, at] { s.client->inject(at); });
+  s.client->inject(engine_.now());
   schedule_next(s);
 }
 
@@ -449,10 +437,7 @@ void TrafficEngine::rearm_arrivals() {
     Stream& stream = streams_[i];
     if (stream.arrivals_done) continue;
     SODA_EXPECTS(stream.next_arrival >= engine_.now());
-    engine_.schedule_at_sharded(
-        stream.next_arrival,
-        sim::Engine::shard_for_stream(static_cast<std::uint32_t>(i)),
-        [this, i] { arrival_fire(i); });
+    engine_.schedule_at(stream.next_arrival, [this, i] { arrival_fire(i); });
   }
 }
 

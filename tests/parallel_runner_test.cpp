@@ -1,7 +1,8 @@
 // Tests for the parallel experiment runner: replica-seed determinism, the
 // parallel == serial merge contract (the whole point of the design — fanning
 // replicas across threads must not change a single bit of the merged
-// output), exception propagation, and the Scenario::run_replicas wiring.
+// output), exception propagation, the Scenario::run_replicas wiring, and the
+// reusable WorkerPool underneath.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "sim/parallel_runner.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
+#include "sim/worker_pool.hpp"
 #include "util/result.hpp"
 
 namespace soda::sim {
@@ -95,6 +97,36 @@ TEST(ParallelRunner, FirstExceptionPropagatesAfterDraining) {
   // still be running, so the counter is final here.
   const int snapshot = completed.load();
   EXPECT_EQ(snapshot, completed.load());
+}
+
+TEST(WorkerPool, PoolRunsEveryIndexExactlyOnce) {
+  WorkerPool pool(4);
+  EXPECT_EQ(pool.thread_count(), 4u);
+  std::vector<std::atomic<int>> hits(257);
+  pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(WorkerPool, PoolIsReusableAcrossDispatches) {
+  WorkerPool pool(3);
+  std::atomic<std::uint64_t> sum{0};
+  for (int round = 0; round < 50; ++round) {
+    pool.run(64, [&](std::size_t i) { sum += i; });
+  }
+  EXPECT_EQ(sum.load(), 50ull * (64 * 63) / 2);
+}
+
+TEST(WorkerPool, PoolPropagatesWorkerExceptions) {
+  WorkerPool pool(2);
+  EXPECT_THROW(pool.run(16,
+                        [](std::size_t i) {
+                          if (i == 7) throw std::runtime_error("boom");
+                        }),
+               std::runtime_error);
+  // The pool survives a failed dispatch.
+  std::atomic<int> ran{0};
+  pool.run(8, [&](std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ScenarioRunReplicas, MatchesSerialRuns) {

@@ -282,6 +282,40 @@ expect-error switch-policy web-content random speed=9
   EXPECT_TRUE(scenario.run().ok());
 }
 
+Status run_script(const std::string& script) {
+  const auto scenario = must(Scenario::parse(script));
+  const auto result = scenario.run();
+  if (result.ok()) return {};
+  return result.error();
+}
+
+TEST(ScenarioRun, HostRejectsEmptyPool) {
+  const Status status = run_script("host seattle 10.0.2.0 0\n");
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().message.find("line 1"), std::string::npos);
+  EXPECT_NE(status.error().message.find("pool size"), std::string::npos);
+  EXPECT_FALSE(run_script("host seattle 10.0.2.0 -3\n").ok());
+}
+
+TEST(ScenarioRun, HostRejectsOversizedPool) {
+  const Status status = run_script("host seattle 10.0.0.0 100000000000\n");
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().message.find("line 1"), std::string::npos);
+  EXPECT_NE(status.error().message.find("pool size"), std::string::npos);
+  EXPECT_FALSE(run_script("host seattle 255.255.255.250 16\n").ok());
+  EXPECT_TRUE(run_script("host seattle 10.0.0.0 65536\n").ok());
+}
+
+TEST(ScenarioRun, HostRejectsOverlappingPools) {
+  const Status status =
+      run_script("host seattle 10.0.2.0 8\nhost tacoma 10.0.2.4 8\n");
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().message.find("line 2"), std::string::npos);
+  EXPECT_NE(status.error().message.find("overlaps"), std::string::npos);
+  EXPECT_TRUE(
+      run_script("host seattle 10.0.2.0 8\nhost tacoma 10.0.2.8 8\n").ok());
+}
+
 TEST(ScenarioRun, CrashUnknownNodeFails) {
   const auto scenario = must(Scenario::parse(with_base(R"(
 create web-content web n=1
