@@ -104,8 +104,13 @@ void BM_SeedEventQueueCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SeedEventQueueCancelChurn)->Arg(1 << 10);
 
+// Starts `flows` concurrent flows on an 8-host star. Every start_flow
+// re-solves max-min fairness over all flows in flight, so the time per flow
+// grows with the flow count. allocs_per_flow counts the heap allocations of
+// the timed starts: route lookups, slot and member-list growth, closures.
 void BM_FlowNetworkReallocate(benchmark::State& state) {
   const auto flows = static_cast<int>(state.range(0));
+  std::uint64_t allocs = 0;
   for (auto _ : state) {
     state.PauseTiming();
     sim::Engine engine;
@@ -117,15 +122,24 @@ void BM_FlowNetworkReallocate(benchmark::State& state) {
       network.add_duplex_link(hosts.back(), sw, 100, sim::SimTime::zero());
     }
     state.ResumeTiming();
+    const std::uint64_t allocs_before = bench::allocation_count();
     for (int i = 0; i < flows; ++i) {
-      // Every start_flow triggers a full max-min reallocation.
       benchmark::DoNotOptimize(network.start_flow(
           hosts[i % 8], hosts[(i + 3) % 8], 1'000'000, [](sim::SimTime) {}));
     }
+    allocs += bench::allocation_count() - allocs_before;
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(flows) * state.iterations());
+  const double started = static_cast<double>(flows) *
+                         static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(started));
+  state.counters["allocs_per_flow"] = static_cast<double>(allocs) / started;
 }
-BENCHMARK(BM_FlowNetworkReallocate)->Arg(16)->Arg(64);
+BENCHMARK(BM_FlowNetworkReallocate)
+    ->Arg(10)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SwitchRouteWrr(benchmark::State& state) {
   core::ServiceSwitch sw("svc", net::Ipv4Address(10, 0, 0, 1), 80);

@@ -75,6 +75,11 @@ Result<long long> arg_int(const ScenarioCommand& cmd, const std::string& raw) {
 /// 16-address pools, and small enough that a typo cannot exhaust memory.
 constexpr long long kMaxPoolSize = 65'536;
 
+/// Largest web dataset a `publish` line may ask for, in MB: 64 GiB, far
+/// above the committed scenarios' 8-16 MB, and small enough that a typo
+/// cannot stall image distribution.
+constexpr long long kMaxContentMb = 65'536;
+
 std::string error_at(int line, const std::string& message) {
   return "line " + std::to_string(line) + ": " + message;
 }
@@ -115,6 +120,10 @@ Result<image::ServiceImage> make_image(const ScenarioCommand& cmd) {
   if (cmd.args.size() == 2) {
     auto mb = arg_int(cmd, cmd.args[1]);
     if (!mb.ok()) return mb.error();
+    if (mb.value() < 1 || mb.value() > kMaxContentMb) {
+      return Error{error_at(cmd.line, "content-mb must be 1.." +
+                                          std::to_string(kMaxContentMb))};
+    }
     content_mb = mb.value();
   }
   const std::string& kind = cmd.args[0];

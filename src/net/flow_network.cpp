@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "util/contract.hpp"
 
@@ -12,6 +11,21 @@ namespace {
 // Flows with less than this many bytes left are considered drained; sub-byte
 // remainders are floating-point residue after rate changes, not payload.
 constexpr double kEpsilonBytes = 0.5;
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+// Slot states. A flow is kFilling while progressive filling may still raise
+// its rate and kFrozen once its rate is fixed for this reallocation; kDead
+// marks a finished or cancelled slot until its member entries are pruned.
+constexpr std::uint8_t kFilling = 0;
+constexpr std::uint8_t kFrozen = 1;
+constexpr std::uint8_t kDead = 2;
+
+constexpr std::uint32_t kNoMembers = UINT32_MAX;  // the link carries no flow
+
+// bfs_via_ markers: a node not reached yet, and the search root.
+constexpr std::uint32_t kUnseen = UINT32_MAX;
+constexpr std::uint32_t kRoot = UINT32_MAX - 1;
 }  // namespace
 
 NodeId FlowNetwork::add_node(std::string name) {
@@ -25,7 +39,13 @@ LinkId FlowNetwork::add_link(NodeId from, NodeId to, double capacity_mbps,
   SODA_EXPECTS(from.value < nodes_.size() && to.value < nodes_.size());
   SODA_EXPECTS(capacity_mbps > 0);
   links_.push_back(Link{from, to, mbps_to_bytes_per_sec(capacity_mbps), latency});
-  out_links_[from.value].push_back(links_.size() - 1);
+  members_of_.push_back(kNoMembers);
+  out_links_[from.value].push_back(static_cast<std::uint32_t>(links_.size() - 1));
+  // A new link can shorten any route.
+  if (!route_cache_.empty()) {
+    route_cache_.clear();
+    route_hops_.clear();
+  }
   return LinkId{links_.size() - 1};
 }
 
@@ -40,6 +60,7 @@ LinkId FlowNetwork::add_virtual_link(double capacity_mbps) {
   SODA_EXPECTS(capacity_mbps > 0);
   links_.push_back(Link{NodeId{}, NodeId{}, mbps_to_bytes_per_sec(capacity_mbps),
                         sim::SimTime::zero()});
+  members_of_.push_back(kNoMembers);
   return LinkId{links_.size() - 1};
 }
 
@@ -61,99 +82,182 @@ const std::string& FlowNetwork::node_name(NodeId node) const {
   return nodes_[node.value];
 }
 
-std::optional<std::vector<std::size_t>> FlowNetwork::route(NodeId src,
-                                                           NodeId dst) const {
-  if (src == dst) return std::vector<std::size_t>{};
-  // BFS by hop count over topology links.
-  std::vector<std::size_t> via_link(nodes_.size(), SIZE_MAX);
-  std::vector<bool> seen(nodes_.size(), false);
-  std::deque<std::size_t> frontier{src.value};
-  seen[src.value] = true;
-  while (!frontier.empty()) {
-    const std::size_t node = frontier.front();
-    frontier.pop_front();
-    for (std::size_t link_idx : out_links_[node]) {
-      const std::size_t next = links_[link_idx].to.value;
-      if (seen[next]) continue;
-      seen[next] = true;
-      via_link[next] = link_idx;
-      if (next == dst.value) {
-        std::vector<std::size_t> path;
-        for (std::size_t at = dst.value; at != src.value;
-             at = links_[via_link[at]].from.value) {
-          path.push_back(via_link[at]);
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
-      frontier.push_back(next);
-    }
+std::optional<std::span<const std::uint32_t>> FlowNetwork::route(NodeId src,
+                                                                NodeId dst) {
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(src.value) << 32) | dst.value;
+  if (const auto it = route_cache_.find(key); it != route_cache_.end()) {
+    return std::span<const std::uint32_t>(
+        route_hops_.data() + it->second.first, it->second.second);
   }
-  return std::nullopt;
+  const std::size_t offset = route_hops_.size();
+  if (src != dst) {
+    // BFS by hop count over topology links; bfs_via_ holds the link that
+    // first reached each node.
+    bfs_via_.assign(nodes_.size(), kUnseen);
+    bfs_via_[src.value] = kRoot;
+    bfs_queue_.assign(1, static_cast<std::uint32_t>(src.value));
+    bool found = false;
+    for (std::size_t head = 0; head < bfs_queue_.size() && !found; ++head) {
+      for (std::uint32_t link_idx : out_links_[bfs_queue_[head]]) {
+        const std::size_t next = links_[link_idx].to.value;
+        if (bfs_via_[next] != kUnseen) continue;
+        bfs_via_[next] = link_idx;
+        if (next == dst.value) {
+          found = true;
+          break;
+        }
+        bfs_queue_.push_back(static_cast<std::uint32_t>(next));
+      }
+    }
+    if (!found) return std::nullopt;
+    for (std::size_t at = dst.value; at != src.value;
+         at = links_[bfs_via_[at]].from.value) {
+      route_hops_.push_back(bfs_via_[at]);
+    }
+    std::reverse(route_hops_.begin() + static_cast<std::ptrdiff_t>(offset),
+                 route_hops_.end());
+  }
+  const auto length = static_cast<std::uint32_t>(route_hops_.size() - offset);
+  route_cache_.emplace(key, std::pair{static_cast<std::uint32_t>(offset), length});
+  return std::span<const std::uint32_t>(route_hops_.data() + offset, length);
+}
+
+FlowNetwork::Slot FlowNetwork::allocate_slot() {
+  if (!free_slots_.empty()) {
+    const Slot slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  if (records_.size() == records_.capacity()) {
+    // Grow every per-slot array in one step rather than each on its own.
+    const std::size_t capacity = std::max<std::size_t>(16, 2 * records_.size());
+    remaining_.reserve(capacity);
+    rate_.reserve(capacity);
+    cap_.reserve(capacity);
+    ready_at_.reserve(capacity);
+    latency_.reserve(capacity);
+    state_.reserve(capacity);
+    records_.reserve(capacity);
+  }
+  // start_flow fills in every field.
+  const std::size_t size = records_.size() + 1;
+  remaining_.resize(size);
+  rate_.resize(size);
+  cap_.resize(size);
+  ready_at_.resize(size);
+  latency_.resize(size);
+  state_.resize(size);
+  records_.resize(size);
+  return static_cast<Slot>(size - 1);
+}
+
+void FlowNetwork::release_slot(Slot slot) {
+  state_[slot] = kDead;
+  records_[slot].on_complete = nullptr;
+  free_slots_.push_back(slot);
+}
+
+void FlowNetwork::prune_link(std::uint32_t link) {
+  const std::uint32_t at = members_of_[link];
+  if (at == kNoMembers) return;  // a repeated link already retired
+  std::vector<Slot>& slots = members_[at].slots;
+  std::erase_if(slots, [&](Slot slot) { return state_[slot] == kDead; });
+  if (!slots.empty()) return;
+  const std::size_t last = --active_count_;
+  if (at != last) {
+    std::swap(members_[at], members_[last]);
+    members_of_[members_[at].link] = at;
+  }
+  members_of_[link] = kNoMembers;
 }
 
 Result<FlowId> FlowNetwork::start_flow(NodeId src, NodeId dst,
                                        std::int64_t bytes,
                                        CompletionCallback on_complete,
                                        double rate_cap_mbps,
-                                       std::vector<LinkId> extra_links) {
+                                       std::span<const LinkId> extra_links) {
   SODA_EXPECTS(src.value < nodes_.size() && dst.value < nodes_.size());
   SODA_EXPECTS(bytes >= 0);
   SODA_EXPECTS(on_complete != nullptr);
   SODA_EXPECTS(rate_cap_mbps > 0);
 
-  auto path = route(src, dst);
-  if (!path) {
+  const auto hops = route(src, dst);
+  if (!hops) {
     return Error{"no route from " + nodes_[src.value] + " to " + nodes_[dst.value]};
   }
   sim::SimTime latency = sim::SimTime::zero();
-  for (std::size_t link_idx : *path) latency += links_[link_idx].latency;
-  for (LinkId extra : extra_links) {
-    SODA_EXPECTS(extra.value < links_.size());
-    path->push_back(extra.value);
-  }
+  for (std::uint32_t link_idx : *hops) latency += links_[link_idx].latency;
+  for (LinkId extra : extra_links) SODA_EXPECTS(extra.value < links_.size());
 
   settle_progress();
-  Flow flow;
-  flow.id = FlowId{next_flow_id_++};
-  flow.path = std::move(*path);
-  flow.total_bytes = bytes;
-  flow.remaining_bytes = static_cast<double>(bytes);
-  flow.cap_bps = std::isinf(rate_cap_mbps)
-                     ? std::numeric_limits<double>::infinity()
-                     : mbps_to_bytes_per_sec(rate_cap_mbps);
-  flow.latency = latency;
-  flow.ready_at = sim::SimTime::max();
-  flow.on_complete = std::move(on_complete);
-  const FlowId id = flow.id;
-  flows_.push_back(std::move(flow));
+  const Slot slot = allocate_slot();
+  FlowRecord& record = records_[slot];
+  record.id = FlowId{next_flow_id_++};
+  record.total_bytes = bytes;
+  record.on_complete = std::move(on_complete);
+  record.path.assign(hops->begin(), hops->end());
+  for (LinkId extra : extra_links) {
+    record.path.push_back(static_cast<std::uint32_t>(extra.value));
+  }
+  for (std::uint32_t link_idx : record.path) {
+    std::uint32_t& at = members_of_[link_idx];
+    if (at == kNoMembers) {
+      at = static_cast<std::uint32_t>(active_count_++);
+      if (at == members_.size()) {
+        members_.emplace_back();
+        members_.back().slots.reserve(8);  // skips the 1, 2, 4 growth steps
+      }
+      members_[at].link = link_idx;
+    }
+    members_[at].slots.push_back(slot);
+  }
+  // A zero-hop flow crosses no link: it is drained from the start and only
+  // waits out its (zero) latency.
+  remaining_[slot] = record.path.empty() ? 0.0 : static_cast<double>(bytes);
+  rate_[slot] = 0;
+  cap_[slot] = mbps_to_bytes_per_sec(rate_cap_mbps);  // kUncapped stays infinite
+  ready_at_[slot] = sim::SimTime::max();
+  latency_[slot] = latency;
+  state_[slot] = kFilling;
+  order_.push_back(slot);
+  const FlowId id = record.id;
   reallocate_and_schedule();
   return id;
 }
 
+std::vector<FlowNetwork::Slot>::const_iterator FlowNetwork::find_live(
+    FlowId flow) const {
+  // order_ is in start order, and ids grow with start order.
+  const auto it = std::lower_bound(
+      order_.begin(), order_.end(), flow,
+      [&](Slot slot, FlowId id) { return records_[slot].id < id; });
+  return it != order_.end() && records_[*it].id == flow ? it : order_.end();
+}
+
 bool FlowNetwork::cancel_flow(FlowId flow) {
-  auto it = std::find_if(flows_.begin(), flows_.end(),
-                         [&](const Flow& f) { return f.id == flow; });
-  if (it == flows_.end()) return false;
+  const auto it = find_live(flow);
+  if (it == order_.end()) return false;
   settle_progress();
-  flows_.erase(it);
+  const Slot slot = *it;
+  order_.erase(it);
+  release_slot(slot);
+  for (std::uint32_t link_idx : records_[slot].path) prune_link(link_idx);
   reallocate_and_schedule();
   return true;
 }
 
 double FlowNetwork::flow_rate_mbps(FlowId flow) const {
-  auto it = std::find_if(flows_.begin(), flows_.end(),
-                         [&](const Flow& f) { return f.id == flow; });
-  return it == flows_.end() ? 0.0 : bytes_per_sec_to_mbps(it->rate_bps);
+  const auto it = find_live(flow);
+  return it == order_.end() ? 0.0 : bytes_per_sec_to_mbps(rate_[*it]);
 }
 
 void FlowNetwork::settle_progress() {
   const sim::SimTime now = engine_.now();
   const double dt = (now - last_settle_).to_seconds();
   if (dt > 0) {
-    for (Flow& flow : flows_) {
-      flow.remaining_bytes =
-          std::max(0.0, flow.remaining_bytes - flow.rate_bps * dt);
+    for (Slot slot : order_) {
+      remaining_[slot] = std::max(0.0, remaining_[slot] - rate_[slot] * dt);
     }
   }
   last_settle_ = now;
@@ -161,108 +265,114 @@ void FlowNetwork::settle_progress() {
 
 void FlowNetwork::reallocate_and_schedule() {
   const sim::SimTime now = engine_.now();
-  const std::size_t flow_count = flows_.size();
-  std::vector<bool> frozen(flow_count, false);
-  std::size_t frozen_count = 0;
+  std::size_t filling = 0;  // flows whose rate is not fixed yet
+  std::size_t capped = 0;   // ... of which have a finite cap
 
-  // Drained flows (and zero-hop flows, which see no link constraint) no
-  // longer compete for bandwidth; they only wait out their path latency.
-  // ready_at is pinned the first time a flow drains and never moves again.
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    Flow& flow = flows_[f];
-    if (flow.remaining_bytes <= kEpsilonBytes || flow.path.empty()) {
-      flow.rate_bps = 0;
-      if (flow.ready_at == sim::SimTime::max()) flow.ready_at = now + flow.latency;
-      frozen[f] = true;
-      ++frozen_count;
+  // Drained flows (zero-hop flows among them) no longer compete for
+  // bandwidth; they only wait out their path latency. ready_at is pinned the
+  // first time a flow drains and never moves again.
+  for (Slot slot : order_) {
+    rate_[slot] = 0;
+    if (remaining_[slot] <= kEpsilonBytes) {
+      state_[slot] = kFrozen;
+      if (ready_at_[slot] == sim::SimTime::max()) {
+        ready_at_[slot] = now + latency_[slot];
+      }
     } else {
-      flow.rate_bps = 0;
+      state_[slot] = kFilling;
+      ++filling;
+      if (std::isfinite(cap_[slot])) ++capped;
     }
   }
 
   // --- Max-min fair allocation with per-flow caps (progressive filling). ---
-  while (frozen_count < flow_count) {
-    // Residual capacity per link and unfrozen-flow count per link.
-    std::vector<double> residual(links_.size());
-    std::vector<std::size_t> demand(links_.size(), 0);
-    for (std::size_t l = 0; l < links_.size(); ++l) {
-      residual[l] = links_[l].capacity_bps;
-    }
-    for (std::size_t f = 0; f < flow_count; ++f) {
-      for (std::size_t l : flows_[f].path) {
-        if (frozen[f]) {
-          residual[l] -= flows_[f].rate_bps;
+  // Every round recomputes each link's residual from capacity, subtracting
+  // frozen members' rates in start order, so the floats do not depend on the
+  // order in which earlier rounds froze flows. A link left with no filling
+  // member drops out of round_ for the rest of this call.
+  round_.clear();
+  for (std::size_t i = 0; i < active_count_; ++i) {
+    round_.push_back({static_cast<std::uint32_t>(i), 0, 0});
+  }
+  while (filling > 0) {
+    double bottleneck_share = kInfinity;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < round_.size(); ++i) {
+      const Members& members = members_[round_[i].members];
+      double residual = links_[members.link].capacity_bps;
+      std::uint32_t demand = 0;
+      for (Slot slot : members.slots) {
+        if (state_[slot] == kFrozen) {
+          residual -= rate_[slot];
         } else {
-          ++demand[l];
+          ++demand;
         }
+      }
+      if (demand == 0) continue;
+      round_[kept++] = {round_[i].members, demand, residual};
+      // Fair share offered by the tightest link crossed by a filling flow.
+      bottleneck_share =
+          std::min(bottleneck_share,
+                   std::max(0.0, residual) / static_cast<double>(demand));
+    }
+    round_.resize(kept);
+    SODA_ENSURES(std::isfinite(bottleneck_share));  // every filling flow has links
+
+    // Smallest filling cap competes with the link bottleneck.
+    double min_cap = kInfinity;
+    if (capped > 0) {
+      for (Slot slot : order_) {
+        if (state_[slot] == kFilling) min_cap = std::min(min_cap, cap_[slot]);
       }
     }
 
-    // Fair share offered by the tightest link crossed by any unfrozen flow.
-    double bottleneck_share = std::numeric_limits<double>::infinity();
-    for (std::size_t l = 0; l < links_.size(); ++l) {
-      if (demand[l] == 0) continue;
-      bottleneck_share =
-          std::min(bottleneck_share,
-                   std::max(0.0, residual[l]) / static_cast<double>(demand[l]));
-    }
-    SODA_ENSURES(std::isfinite(bottleneck_share));  // every unfrozen flow has links
-
-    // Smallest unfrozen cap competes with the link bottleneck.
-    double min_cap = std::numeric_limits<double>::infinity();
-    for (std::size_t f = 0; f < flow_count; ++f) {
-      if (!frozen[f]) min_cap = std::min(min_cap, flows_[f].cap_bps);
-    }
-
-    bool froze_any = false;
+    const std::size_t filling_before = filling;
     if (min_cap <= bottleneck_share) {
       // Cap-limited flows take their cap and stop competing.
-      for (std::size_t f = 0; f < flow_count; ++f) {
-        if (!frozen[f] && flows_[f].cap_bps <= bottleneck_share) {
-          flows_[f].rate_bps = flows_[f].cap_bps;
-          frozen[f] = true;
-          ++frozen_count;
-          froze_any = true;
+      for (Slot slot : order_) {
+        if (state_[slot] == kFilling && cap_[slot] <= bottleneck_share) {
+          rate_[slot] = cap_[slot];
+          state_[slot] = kFrozen;
+          --filling;
+          --capped;
         }
       }
     } else {
-      // Freeze every unfrozen flow crossing a link at the bottleneck share.
-      for (std::size_t l = 0; l < links_.size(); ++l) {
-        if (demand[l] == 0) continue;
-        const double share =
-            std::max(0.0, residual[l]) / static_cast<double>(demand[l]);
-        if (share <= bottleneck_share * (1 + 1e-12)) {
-          for (std::size_t f = 0; f < flow_count; ++f) {
-            if (frozen[f]) continue;
-            if (std::find(flows_[f].path.begin(), flows_[f].path.end(), l) !=
-                flows_[f].path.end()) {
-              flows_[f].rate_bps = bottleneck_share;
-              frozen[f] = true;
-              ++frozen_count;
-              froze_any = true;
-            }
-          }
+      // Freeze every filling flow crossing a link at the bottleneck share.
+      for (const RoundLink& round_link : round_) {
+        const double share = std::max(0.0, round_link.residual) /
+                             static_cast<double>(round_link.demand);
+        if (share > bottleneck_share * (1 + 1e-12)) continue;
+        for (Slot slot : members_[round_link.members].slots) {
+          if (state_[slot] != kFilling) continue;
+          rate_[slot] = bottleneck_share;
+          state_[slot] = kFrozen;
+          --filling;
+          if (std::isfinite(cap_[slot])) --capped;
         }
       }
     }
-    SODA_ENSURES(froze_any);  // each round must make progress
+    SODA_ENSURES(filling < filling_before);  // each round must make progress
   }
 
-  // Project completion times for still-transmitting flows. The projected
-  // transfer time is floored at 1 ns: SimTime truncates to integer
-  // nanoseconds, and a zero-length step would fire the completion event at
-  // the same timestamp without draining any bytes — forever.
-  for (Flow& flow : flows_) {
-    if (flow.remaining_bytes > kEpsilonBytes && !flow.path.empty()) {
-      if (flow.rate_bps > 0) {
+  // Project completion times for still-transmitting flows and find the
+  // earliest. The projected transfer time is floored at 1 ns: SimTime
+  // truncates to integer nanoseconds, and a zero-length step would fire the
+  // completion event at the same timestamp without draining any bytes —
+  // forever.
+  sim::SimTime earliest = sim::SimTime::max();
+  for (Slot slot : order_) {
+    if (remaining_[slot] > kEpsilonBytes) {
+      if (rate_[slot] > 0) {
         const sim::SimTime transfer = std::max(
             sim::SimTime::nanoseconds(1),
-            sim::SimTime::seconds(flow.remaining_bytes / flow.rate_bps));
-        flow.ready_at = now + transfer + flow.latency;
+            sim::SimTime::seconds(remaining_[slot] / rate_[slot]));
+        ready_at_[slot] = now + transfer + latency_[slot];
       } else {
-        flow.ready_at = sim::SimTime::max();
+        ready_at_[slot] = sim::SimTime::max();
       }
     }
+    earliest = std::min(earliest, ready_at_[slot]);
   }
 
   // --- Schedule the earliest completion. ---
@@ -270,8 +380,6 @@ void FlowNetwork::reallocate_and_schedule() {
     engine_.cancel(pending_event_);
     event_scheduled_ = false;
   }
-  sim::SimTime earliest = sim::SimTime::max();
-  for (const Flow& flow : flows_) earliest = std::min(earliest, flow.ready_at);
   if (earliest < sim::SimTime::max()) {
     pending_event_ = engine_.schedule_at(std::max(earliest, now),
                                          [this] { on_completion_event(); });
@@ -283,29 +391,45 @@ void FlowNetwork::on_completion_event() {
   event_scheduled_ = false;
   settle_progress();
   const sim::SimTime now = engine_.now();
-  // Collect finished flows first: completion callbacks may start new flows,
-  // which mutates flows_. A flow is finished when its bytes have drained AND
-  // its pinned latency deadline has passed. Flows that drained exactly now
-  // still owe their latency; reallocate pins their ready_at below.
-  std::vector<Flow> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    const bool drained = it->remaining_bytes <= kEpsilonBytes || it->path.empty();
-    if (drained && it->ready_at <= now) {
-      done.push_back(std::move(*it));
-      it = flows_.erase(it);
+  // Collect finished flows first: completion callbacks may start new flows.
+  // A flow is finished when its bytes have drained AND its pinned latency
+  // deadline has passed. Flows that drained exactly now still owe their
+  // latency; reallocate pins their ready_at below.
+  done_.clear();
+  std::size_t kept = 0;
+  for (Slot slot : order_) {
+    if (remaining_[slot] <= kEpsilonBytes && ready_at_[slot] <= now) {
+      done_.push_back(slot);
+      state_[slot] = kDead;
     } else {
-      ++it;
+      order_[kept++] = slot;
     }
   }
+  order_.resize(kept);
+  // Prune each link the finished flows crossed, once per link.
+  touched_.clear();
+  for (Slot slot : done_) {
+    const std::vector<std::uint32_t>& path = records_[slot].path;
+    touched_.insert(touched_.end(), path.begin(), path.end());
+  }
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
+  for (std::uint32_t link_idx : touched_) prune_link(link_idx);
+
   reallocate_and_schedule();
-  for (Flow& flow : done) {
-    bytes_delivered_ += flow.total_bytes;
-    flow.on_complete(now);
+  // Callbacks fire in start order. Each slot is released before its
+  // callback runs, so flows started from a callback may reuse it.
+  for (Slot slot : done_) {
+    FlowRecord& record = records_[slot];
+    bytes_delivered_ += record.total_bytes;
+    CompletionCallback on_complete = std::move(record.on_complete);
+    release_slot(slot);
+    on_complete(now);
   }
 }
 
 void FlowNetwork::save_state(snapshot::Writer& writer) const {
-  SODA_EXPECTS(flows_.empty());  // quiesce before checkpointing
+  SODA_EXPECTS(order_.empty());  // quiesce before checkpointing
   writer.begin_section("flow_network");
   writer.u64(nodes_.size());
   for (const std::string& name : nodes_) writer.str(name);
@@ -326,11 +450,14 @@ void FlowNetwork::save_state(snapshot::Writer& writer) const {
 }
 
 void FlowNetwork::load_state(snapshot::Reader& reader) {
-  SODA_EXPECTS(flows_.empty());
+  SODA_EXPECTS(order_.empty());
   reader.begin_section("flow_network");
   nodes_.clear();
   links_.clear();
   out_links_.clear();
+  members_of_.clear();
+  route_cache_.clear();
+  route_hops_.clear();
   const std::uint64_t node_count = reader.u64();
   for (std::uint64_t i = 0; reader.ok() && i < node_count; ++i) {
     nodes_.push_back(reader.str());
@@ -346,11 +473,13 @@ void FlowNetwork::load_state(snapshot::Reader& reader) {
         reader.fail("link endpoint out of range");
         return;
       }
-      out_links_[link.from.value].push_back(links_.size());
+      out_links_[link.from.value].push_back(
+          static_cast<std::uint32_t>(links_.size()));
     }
     link.capacity_bps = reader.f64();
     link.latency = reader.time();
     links_.push_back(link);
+    members_of_.push_back(kNoMembers);
   }
   next_flow_id_ = reader.u64();
   last_settle_ = reader.time();

@@ -10,7 +10,10 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -84,7 +87,7 @@ class FlowNetwork {
   Result<FlowId> start_flow(NodeId src, NodeId dst, std::int64_t bytes,
                             CompletionCallback on_complete,
                             double rate_cap_mbps = kUncapped,
-                            std::vector<LinkId> extra_links = {});
+                            std::span<const LinkId> extra_links = {});
 
   /// Aborts an in-progress flow (its callback never fires). Returns false if
   /// the flow already completed or was already cancelled.
@@ -94,7 +97,7 @@ class FlowNetwork {
   [[nodiscard]] double flow_rate_mbps(FlowId flow) const;
 
   /// Number of in-progress flows.
-  [[nodiscard]] std::size_t active_flows() const noexcept { return flows_.size(); }
+  [[nodiscard]] std::size_t active_flows() const noexcept { return order_.size(); }
 
   /// Total bytes delivered by completed flows since construction.
   [[nodiscard]] std::int64_t bytes_delivered() const noexcept { return bytes_delivered_; }
@@ -103,33 +106,47 @@ class FlowNetwork {
   /// and capacities changed since construction) and counters. The world must
   /// be quiesced: in-flight flows hold completion closures that cannot be
   /// externalized, so save_state requires active_flows() == 0. LinkId and
-  /// NodeId values are preserved exactly — max-min fair sharing iterates
-  /// links in id order, so isomorphic-but-renumbered topologies would
-  /// diverge in floating-point rounding.
+  /// NodeId values are preserved exactly — routing breaks hop-count ties by
+  /// link id, so isomorphic-but-renumbered topologies could pick other paths.
   void save_state(snapshot::Writer& writer) const;
   void load_state(snapshot::Reader& reader);
 
  private:
+  // Flows live in reusable slots, stored as parallel arrays. Progressive
+  // filling reads only the hot arrays and the per-link member lists; the
+  // paths are read when a flow starts, ends or is cancelled, never per round.
+  using Slot = std::uint32_t;
+
   struct Link {
     NodeId from;  // invalid for virtual links
     NodeId to;
     double capacity_bps = 0;  // bytes per second
     sim::SimTime latency;
   };
-  struct Flow {
-    FlowId id;
-    std::vector<std::size_t> path;  // link indices
-    std::int64_t total_bytes = 0;
-    double remaining_bytes = 0;
-    double rate_bps = 0;  // bytes per second
-    double cap_bps = std::numeric_limits<double>::infinity();
-    sim::SimTime latency;  // summed path latency, applied to completion
-    sim::SimTime ready_at = sim::SimTime::max();  // pinned when drained
-    CompletionCallback on_complete;
+  /// The live slots crossing one link, in start order, one entry per path
+  /// occurrence. The residual subtracts frozen rates in this order, which is
+  /// what keeps every rate bit-identical to a pass over flows in start order.
+  struct Members {
+    std::uint32_t link = 0;
+    std::vector<Slot> slots;
+  };
+  /// One link in a progressive-filling round.
+  struct RoundLink {
+    std::uint32_t members;  // index into members_
+    std::uint32_t demand;   // filling members
+    double residual;        // capacity minus frozen members' rates
   };
 
-  /// Shortest-hop route using topology links only; empty when unreachable.
-  std::optional<std::vector<std::size_t>> route(NodeId src, NodeId dst) const;
+  /// Shortest-hop route using topology links only, cached per (src, dst);
+  /// nullopt when unreachable. The span is valid until the next call.
+  std::optional<std::span<const std::uint32_t>> route(NodeId src, NodeId dst);
+  /// The live slot of `flow` in order_, or order_.end().
+  std::vector<Slot>::const_iterator find_live(FlowId flow) const;
+  Slot allocate_slot();
+  void release_slot(Slot slot);
+  /// Drops dead slots from `link`'s member list and retires the list when
+  /// it empties.
+  void prune_link(std::uint32_t link);
 
   /// Applies progress since last recompute to all flows' remaining bytes.
   void settle_progress();
@@ -142,8 +159,43 @@ class FlowNetwork {
   sim::Engine& engine_;
   std::vector<std::string> nodes_;
   std::vector<Link> links_;
-  std::vector<std::vector<std::size_t>> out_links_;  // per node, topology only
-  std::vector<Flow> flows_;
+  std::vector<std::vector<std::uint32_t>> out_links_;  // per node, topology only
+  // Member lists of the links that carry flows, in any order: entries
+  // [0, active_count_) are in use, the rest keep their capacity for reuse.
+  std::vector<Members> members_;
+  std::size_t active_count_ = 0;
+  std::vector<std::uint32_t> members_of_;  // per link: index or kNoMembers
+
+  // Per-slot hot state.
+  std::vector<double> remaining_;  // bytes; 0 for zero-hop flows
+  std::vector<double> rate_;       // bytes per second
+  std::vector<double> cap_;        // bytes per second
+  std::vector<sim::SimTime> ready_at_;  // pinned when drained
+  std::vector<sim::SimTime> latency_;   // summed path latency
+  std::vector<std::uint8_t> state_;     // kFilling / kFrozen / kDead
+  // Per-slot cold state.
+  struct FlowRecord {
+    FlowId id;
+    std::int64_t total_bytes = 0;
+    CompletionCallback on_complete;
+    std::vector<std::uint32_t> path;  // link indices, extra links included
+  };
+  std::vector<FlowRecord> records_;
+  std::vector<Slot> free_slots_;
+  std::vector<Slot> order_;  // live slots in start order (ascending FlowId)
+
+  // (src << 32 | dst) -> {offset, length} into route_hops_.
+  std::unordered_map<std::uint64_t, std::pair<std::uint32_t, std::uint32_t>>
+      route_cache_;
+  std::vector<std::uint32_t> route_hops_;
+
+  // Scratch reused across calls.
+  std::vector<RoundLink> round_;
+  std::vector<Slot> done_;
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::uint32_t> bfs_via_;
+  std::vector<std::uint32_t> bfs_queue_;
+
   std::uint64_t next_flow_id_ = 1;
   sim::SimTime last_settle_;
   sim::EventId pending_event_{};

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <numbers>
 
@@ -32,6 +33,23 @@ Error phase_error(std::string_view spec) {
   return Error{"bad traffic phase: '" + std::string(spec) +
                "' (want const:RATExSECS, ramp:FROM..TOxSECS, burst:RATExSECS,"
                " or diurnal:BASE~AMPxSECS[/PERIOD])"};
+}
+
+/// Rejects a trace too long or too dense to run; NaN totals fail too.
+Result<TrafficTrace> within_limits(TrafficTrace trace) {
+  char buf[160];
+  if (!(trace.duration_s() <= kMaxTraceSeconds)) {
+    std::snprintf(buf, sizeof buf, "traffic trace spans %g s; the limit is %g s",
+                  trace.duration_s(), kMaxTraceSeconds);
+    return Error{buf};
+  }
+  if (!(trace.expected_arrivals() <= kMaxTraceArrivals)) {
+    std::snprintf(buf, sizeof buf,
+                  "traffic trace expects %g arrivals; the limit is %g",
+                  trace.expected_arrivals(), kMaxTraceArrivals);
+    return Error{buf};
+  }
+  return trace;
 }
 
 }  // namespace
@@ -93,7 +111,9 @@ Result<TrafficTrace> TrafficTrace::parse(std::string_view spec) {
       return Error{"file: traces are single-phase; cannot mix '" +
                    std::string(whole) + "' with shaped phases"};
     }
-    return from_file(std::string(whole.substr(5)));
+    auto trace = from_file(std::string(whole.substr(5)));
+    if (!trace.ok()) return trace;
+    return within_limits(std::move(trace).value());
   }
   TrafficTrace trace;
   for (const std::string& raw : util::split(spec, ',')) {
@@ -155,7 +175,7 @@ Result<TrafficTrace> TrafficTrace::parse(std::string_view spec) {
   if (trace.phases_.empty()) {
     return Error{"empty traffic spec"};
   }
-  return trace;
+  return within_limits(std::move(trace));
 }
 
 Result<TrafficTrace> TrafficTrace::from_file(const std::string& path) {

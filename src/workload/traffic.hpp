@@ -39,6 +39,14 @@ struct TrafficPhase {
   friend bool operator==(const TrafficPhase&, const TrafficPhase&) = default;
 };
 
+/// Longest trace `TrafficTrace::parse` accepts: one simulated day. A stream
+/// reserves its per-window statistics for twice the trace up front, so this
+/// bounds memory; fig_traffic spans 12 s and chaos traces at most 4 s.
+inline constexpr double kMaxTraceSeconds = 86'400;
+/// Most expected arrivals `TrafficTrace::parse` accepts; bounds run time.
+/// fig_traffic offers about 15k arrivals per replica, chaos traces under 500.
+inline constexpr double kMaxTraceArrivals = 1'000'000;
+
 /// A declarative arrival-rate trace: phases played back to back. Built
 /// programmatically or parsed from a compact spec (the scenario verb):
 ///
@@ -50,6 +58,8 @@ struct TrafficPhase {
 ///   file:PATH               replay recorded arrival offsets from PATH
 ///
 /// Phases are comma-separated: "const:200x5,burst:5000x2,const:200x5".
+/// parse rejects traces longer than kMaxTraceSeconds or expecting more than
+/// kMaxTraceArrivals arrivals.
 /// A `file:` trace stands alone — it replays exact timestamps, so mixing it
 /// with shaped phases is a parse error. The file holds one arrival offset in
 /// seconds per line (non-decreasing, `#` comments and blank lines ignored);

@@ -167,10 +167,11 @@ TEST(TrafficShaper, ShapedFlowIsRateLimited) {
   network.add_duplex_link(a, b, 100, sim::SimTime::zero());
   TrafficShaper shaper(network);
   shaper.configure(kVm1, 10);
+  const LinkId shaped = *shaper.link_for(kVm1);
   double done = -1;
   must(network.start_flow(a, b, 1'250'000,
                           [&](sim::SimTime t) { done = t.to_seconds(); },
-                          kUncapped, {*shaper.link_for(kVm1)}));
+                          kUncapped, {&shaped, 1}));
   engine.run();
   EXPECT_NEAR(done, 1.0, 1e-6);  // 1.25 MB at 10 Mbps
 }

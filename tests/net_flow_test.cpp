@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "net/flow_network.hpp"
 #include "sim/engine.hpp"
+#include "sim/random.hpp"
 
 namespace soda::net {
 namespace {
@@ -137,7 +139,7 @@ TEST(FlowNetwork, VirtualLinkActsAsSharedShaper) {
     must(lan.network.start_flow(
         lan.a, lan.b, 1'250'000,
         [&](sim::SimTime t) { done.push_back(t.to_seconds()); },
-        kUncapped, {shaper}));
+        kUncapped, {&shaper, 1}));
   }
   lan.engine.run();
   // Both flows cross the same 10 Mbps virtual link: 2.5 MB total at
@@ -287,6 +289,149 @@ TEST(FlowNetwork, LinkCapacityQuery) {
   const auto [ab, ba] = network.add_duplex_link(a, b, 37.5, sim::SimTime::zero());
   EXPECT_NEAR(network.link_capacity_mbps(ab), 37.5, 1e-9);
   EXPECT_NEAR(network.link_capacity_mbps(ba), 37.5, 1e-9);
+}
+
+TEST(FlowNetwork, RouteCacheSeesNewShorterLink) {
+  sim::Engine engine;
+  FlowNetwork network(engine);
+  const NodeId a = network.add_node("a");
+  const NodeId m = network.add_node("m");
+  const NodeId b = network.add_node("b");
+  network.add_duplex_link(a, m, 100, sim::SimTime::milliseconds(10));
+  network.add_duplex_link(m, b, 100, sim::SimTime::milliseconds(10));
+  double first = -1, second = -1;
+  must(network.start_flow(a, b, 0, [&](sim::SimTime t) { first = t.to_seconds(); }));
+  engine.run();
+  EXPECT_NEAR(first, 0.020, 1e-9);  // two hops of 10 ms
+  // A direct link is one hop: the cached two-hop route must not be reused.
+  network.add_link(a, b, 100, sim::SimTime::milliseconds(1));
+  const double start = engine.now().to_seconds();
+  must(network.start_flow(a, b, 0, [&](sim::SimTime t) { second = t.to_seconds(); }));
+  engine.run();
+  EXPECT_NEAR(second - start, 0.001, 1e-9);
+}
+
+// Bit-for-bit pin of the fluid model: random operation sequences over a
+// two-switch topology with a virtual shaper link. Every allocated rate after
+// every operation, every completion time and the order callbacks fire in are
+// folded into one FNV-1a hash. Any change to the progressive-filling
+// arithmetic or to the order of its floating-point operations moves it.
+struct FlowFuzz {
+  sim::Engine engine;
+  FlowNetwork network{engine};
+  sim::Rng rng;
+  std::vector<NodeId> nodes;
+  std::vector<LinkId> links;  // topology links first, then virtual ones
+  std::vector<FlowId> started;
+  std::vector<FlowId> live;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+
+  explicit FlowFuzz(std::uint64_t seed) : rng(seed) {
+    const NodeId s1 = network.add_node("s1");
+    const NodeId s2 = network.add_node("s2");
+    nodes = {s1, s2};
+    const auto trunk = network.add_duplex_link(s1, s2, 100, sim::SimTime::microseconds(50));
+    links = {trunk.first, trunk.second};
+    for (int i = 0; i < 6; ++i) {
+      const NodeId host = network.add_node("h" + std::to_string(i));
+      nodes.push_back(host);
+      const auto access = network.add_duplex_link(
+          host, i < 3 ? s1 : s2, i % 2 == 0 ? 100 : 10,
+          sim::SimTime::microseconds(20 * (i + 1)));
+      links.push_back(access.first);
+      links.push_back(access.second);
+    }
+    links.push_back(network.add_virtual_link(5));
+    links.push_back(network.add_virtual_link(40));
+  }
+
+  void fold(std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (value >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  void fold_double(double value) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    fold(bits);
+  }
+  void fold_rates() {
+    for (FlowId id : started) fold_double(network.flow_rate_mbps(id));
+    fold(network.active_flows());
+  }
+
+  void start_random() {
+    const NodeId src = nodes[rng.uniform_int(0, nodes.size() - 1)];
+    const NodeId dst = rng.bernoulli(0.1) ? src : nodes[rng.uniform_int(0, nodes.size() - 1)];
+    const std::int64_t bytes = rng.bernoulli(0.1) ? 0 : rng.uniform_int(1, 400'000);
+    const double cap = rng.bernoulli(0.25) ? rng.uniform(0.5, 60) : kUncapped;
+    std::vector<LinkId> extra;
+    switch (rng.uniform_int(0, 3)) {
+      case 0: break;
+      case 1: extra = {links[links.size() - 2]}; break;
+      case 2: extra = {links.back(), links[links.size() - 2]}; break;
+      default:  // a topology link, possibly already on the routed path
+        extra = {links[rng.uniform_int(0, links.size() - 3)], links.back()};
+    }
+    auto flow = network.start_flow(
+        src, dst, bytes,
+        [this, id = started.size() + 1](sim::SimTime at) { on_done(id, at); },
+        cap, extra);
+    ASSERT_TRUE(flow.ok());
+    started.push_back(flow.value());
+    live.push_back(flow.value());
+  }
+
+  void on_done(std::uint64_t index, sim::SimTime at) {
+    fold(index);
+    fold(static_cast<std::uint64_t>(at.ns()));
+    std::erase(live, started[index - 1]);
+    if (!live.empty() && rng.bernoulli(0.2)) {
+      cancel(live[rng.uniform_int(0, live.size() - 1)]);
+    }
+    if (started.size() < 200 && rng.bernoulli(0.3)) start_random();
+  }
+
+  void cancel(FlowId id) {
+    const bool cancelled = network.cancel_flow(id);
+    fold(cancelled ? 1 : 2);
+    if (cancelled) std::erase(live, id);
+  }
+
+  void step() {
+    switch (rng.uniform_int(0, 9)) {
+      case 0: case 1: case 2: case 3:
+        start_random();
+        break;
+      case 4:
+        if (!started.empty()) cancel(started[rng.uniform_int(0, started.size() - 1)]);
+        break;
+      case 5:
+        network.set_link_capacity(links[rng.uniform_int(0, links.size() - 1)],
+                                  rng.uniform(1, 120));
+        break;
+      default:
+        engine.run_until(engine.now() +
+                         sim::SimTime::microseconds(rng.uniform_int(0, 40'000)));
+    }
+    fold(static_cast<std::uint64_t>(engine.now().ns()));
+    fold_rates();
+  }
+};
+
+TEST(FlowNetwork, RandomOperationSequencesArePinnedBitForBit) {
+  std::uint64_t combined = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    FlowFuzz fuzz(0xF10F + seed);
+    for (int op = 0; op < 60; ++op) fuzz.step();
+    fuzz.engine.run();
+    fuzz.fold_rates();
+    fuzz.fold(static_cast<std::uint64_t>(fuzz.network.bytes_delivered()));
+    EXPECT_EQ(fuzz.network.active_flows(), 0u);
+    combined = combined * 31 + fuzz.hash;
+  }
+  EXPECT_EQ(combined, 0x946e161f3d9eb8c8ULL) << std::hex << combined;
 }
 
 }  // namespace

@@ -306,6 +306,31 @@ TEST(ScenarioRun, HostRejectsOversizedPool) {
   EXPECT_TRUE(run_script("host seattle 10.0.0.0 65536\n").ok());
 }
 
+TEST(ScenarioRun, PublishRejectsOutOfRangeContentSize) {
+  for (const char* size : {"999999999999", "0", "-1", "65537"}) {
+    const Status status = run_script(
+        "host seattle 128.10.9.120\nrepo asp-repo\nasp bioinfo key-123\n"
+        "publish web content-mb=" + std::string(size) +
+        "\ncreate svc0 web n=1\n");
+    ASSERT_FALSE(status.ok()) << size;
+    EXPECT_NE(status.error().message.find("line 4"), std::string::npos);
+    EXPECT_NE(status.error().message.find("content-mb"), std::string::npos);
+  }
+}
+
+TEST(ScenarioRun, TrafficRejectsOversizedTrace) {
+  const auto scenario = must(Scenario::parse(with_base(R"(
+create svc0 web n=1
+traffic svc0 const:1e9x1e9
+)")));
+  const auto result = scenario.run();
+  ASSERT_FALSE(result.ok());
+  // The base setup takes lines 1-8.
+  EXPECT_NE(result.error().message.find("line 10"), std::string::npos)
+      << result.error().message;
+  EXPECT_NE(result.error().message.find("limit"), std::string::npos);
+}
+
 TEST(ScenarioRun, HostRejectsOverlappingPools) {
   const Status status =
       run_script("host seattle 10.0.2.0 8\nhost tacoma 10.0.2.4 8\n");

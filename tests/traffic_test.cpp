@@ -70,6 +70,20 @@ TEST(TrafficTrace, RejectsMalformedSpecs) {
   EXPECT_FALSE(TrafficTrace::parse("diurnal:100~200x5").ok());  // amp > base
 }
 
+TEST(TrafficTrace, RejectsTracesBeyondTheLimits) {
+  // 1e9 s would reserve two billion statistics windows up front.
+  const auto huge = TrafficTrace::parse("const:1e9x1e9");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.error().message.find("limit"), std::string::npos);
+  EXPECT_FALSE(TrafficTrace::parse("const:1x86401").ok());
+  EXPECT_FALSE(TrafficTrace::parse("const:100x86000, const:100x1000").ok());
+  EXPECT_FALSE(TrafficTrace::parse("const:nanx5").ok());
+  EXPECT_FALSE(TrafficTrace::parse("burst:1000001x1").ok());
+  EXPECT_FALSE(TrafficTrace::parse("ramp:1..2000000x1").ok());
+  EXPECT_TRUE(TrafficTrace::parse("const:10x86400").ok());
+  EXPECT_TRUE(TrafficTrace::parse("burst:1000000x1").ok());
+}
+
 // ---------- LogHistogram ----------
 
 TEST(LogHistogram, BucketsBoundRelativeError) {
