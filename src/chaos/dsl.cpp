@@ -1,7 +1,9 @@
 #include "chaos/dsl.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "core/scenario.hpp"
 #include "util/strings.hpp"
@@ -39,16 +41,27 @@ std::string render_phase(const workload::TrafficPhase& phase) {
   return "";
 }
 
+/// Parses `<prefix>N` for an integer N in [lo, hi], the range of the spec
+/// field it fills: a value that does not fit is an error, never a wrap.
 Result<std::uint64_t> option_u64(const std::string& arg,
-                                 std::string_view prefix) {
+                                 std::string_view prefix, std::uint64_t lo,
+                                 std::uint64_t hi) {
   if (!util::starts_with(arg, prefix)) {
     return Error{"expected option " + std::string(prefix) + "N, got '" + arg +
                  "'"};
   }
-  const auto value = util::parse_double(arg.substr(prefix.size()));
-  if (!value || *value < 0) return Error{"bad option '" + arg + "'"};
-  return static_cast<std::uint64_t>(*value);
+  const char* first = arg.data() + prefix.size();
+  const char* last = arg.data() + arg.size();
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || end != last || value < lo || value > hi) {
+    return Error{"bad option '" + arg + "' (want " + std::string(prefix) +
+                 std::to_string(lo) + ".." + std::to_string(hi) + ")"};
+  }
+  return value;
 }
+
+constexpr std::uint64_t kAnySeed = std::numeric_limits<std::uint64_t>::max();
 
 }  // namespace
 
@@ -227,14 +240,16 @@ Result<ChaosSpec> parse_dsl(std::string_view text) {
       // Fixed scaffolding in rendered reproducers; nothing spec-bearing.
     } else if (cmd.verb == "publish") {
       if (cmd.args.size() == 2) {
-        auto mb = option_u64(cmd.args[1], "content-mb=");
+        auto mb = option_u64(cmd.args[1], "content-mb=", 1,
+                             core::kMaxContentMb);
         if (!mb.ok()) return fail(mb.error().message);
         spec.content_mb = static_cast<int>(mb.value());
       }
     } else if (cmd.verb == "create") {
       ChaosService service;
       service.name = cmd.args[0];
-      auto n = option_u64(cmd.args[2], "n=");
+      auto n = option_u64(cmd.args[2], "n=", 1,
+                          std::numeric_limits<int>::max());
       if (!n.ok()) return fail(n.error().message);
       service.units = static_cast<int>(n.value());
       spec.services.push_back(std::move(service));
@@ -243,7 +258,7 @@ Result<ChaosSpec> parse_dsl(std::string_view text) {
       if (!service) return fail("unknown service '" + cmd.args[0] + "'");
       service->policy = cmd.args[1];
       if (cmd.args.size() == 3) {
-        auto seed = option_u64(cmd.args[2], "seed=");
+        auto seed = option_u64(cmd.args[2], "seed=", 0, kAnySeed);
         if (!seed.ok()) return fail(seed.error().message);
         service->policy_seed = seed.value();
       }
@@ -254,14 +269,19 @@ Result<ChaosSpec> parse_dsl(std::string_view text) {
       if (!trace.ok()) return fail(trace.error().message);
       service->trace = trace.value().phases();
       for (std::size_t i = 2; i < cmd.args.size(); ++i) {
-        auto seed = option_u64(cmd.args[i], "seed=");
+        auto seed = option_u64(cmd.args[i], "seed=", 0, kAnySeed);
         if (!seed.ok()) return fail(seed.error().message);
         service->traffic_seed = seed.value();
       }
     } else if (cmd.verb == "advance") {
       const auto seconds = util::parse_double(cmd.args[0]);
-      if (!seconds || *seconds < 0) return fail("bad advance");
+      if (!seconds) return fail("bad advance");
       t += *seconds;
+      if (t > core::kMaxAdvanceSeconds) {
+        return fail("scenario runs past the " +
+                    std::to_string(static_cast<int>(core::kMaxAdvanceSeconds)) +
+                    " s horizon limit");
+      }
     } else if (cmd.verb == "crash-host" || cmd.verb == "recover-host" ||
                cmd.verb == "restore-host") {
       auto fault = fault_at(cmd.verb == "recover-host"

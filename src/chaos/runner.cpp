@@ -42,58 +42,38 @@ void mix(std::uint64_t& h, const std::string& value) {
   h *= kFnvPrime;  // delimiter so "ab"+"c" != "a"+"bc"
 }
 
-// --- open-loop load driver -------------------------------------------------
+// --- open-loop load ------------------------------------------------------
 
-/// One service's open-loop arrival process. A slimmed-down TrafficEngine
-/// stream that routes through the chaos failover path: the trace keeps
-/// offering load at its own rate while hosts crash underneath, and every
-/// arrival that lands on a dead backend exercises route_failover exactly
-/// like the SiegeClient would.
-class LoadDriver {
+/// One service's open-loop load: a workload::ArrivalProcess whose arrivals
+/// route through the chaos failover path. The trace keeps offering load at
+/// its own rate while hosts crash underneath, and every arrival that lands
+/// on a dead backend exercises route_failover exactly like the SiegeClient
+/// would.
+class ServiceLoad {
  public:
-  LoadDriver(core::Hup& hup, core::ServiceSwitch& sw,
-             const core::ServiceRecord& record,
-             workload::TrafficTrace trace, std::uint64_t seed,
-             double horizon_s, InvariantChecker* checker)
+  ServiceLoad(core::Hup& hup, core::ServiceSwitch& sw,
+              const core::ServiceRecord& record, workload::TrafficTrace trace,
+              std::uint64_t seed, double horizon_s, InvariantChecker* checker)
       : hup_(hup),
         sw_(sw),
         record_(record),
-        trace_(std::move(trace)),
-        rng_(seed),
-        horizon_s_(horizon_s),
-        checker_(checker) {}
+        checker_(checker),
+        arrivals_(hup.engine(), std::move(trace), sim::Rng(seed),
+                  [this] { arrive(); }, horizon_s) {}
 
-  void start() {
-    t0_ = hup_.engine().now();
-    schedule_next();
+  void start() { arrivals_.start(); }
+
+  /// Route attempts: one per arrival plus one per failover retry.
+  [[nodiscard]] std::uint64_t attempts() const noexcept {
+    return arrivals_.scheduled + failovers_;
   }
-
-  [[nodiscard]] std::uint64_t attempts() const noexcept { return attempts_; }
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
-  [[nodiscard]] std::uint64_t failovers() const noexcept { return failovers_; }
   [[nodiscard]] const core::ServiceSwitch& service_switch() const noexcept {
     return sw_;
   }
 
  private:
-  void schedule_next() {
-    sim::Engine& engine = hup_.engine();
-    const double offset = (engine.now() - t0_).to_seconds();
-    if (offset >= trace_.duration_s() || offset >= horizon_s_) return;
-    const double rate = std::max(trace_.rate_at(offset), 1e-3);
-    engine.schedule_after(sim::SimTime::seconds(rng_.exponential(1.0 / rate)),
-                          [this] {
-                            const double at =
-                                (hup_.engine().now() - t0_).to_seconds();
-                            if (at < trace_.duration_s() && at < horizon_s_) {
-                              arrive();
-                            }
-                            schedule_next();
-                          });
-  }
-
   void arrive() {
-    ++attempts_;
     auto routed = sw_.route();
     if (!routed.ok()) return;
     core::BackEndEntry entry = routed.value();
@@ -104,13 +84,14 @@ class LoadDriver {
     // unhealthy, so the loop strictly shrinks the routable set.
     while (!backend_alive(entry)) {
       auto re = sw_.route_failover(entry);
-      ++attempts_;
       ++failovers_;
       if (!re.ok()) return;
       entry = re.value();
       if (checker_) checker_->check_routed(sw_, entry);
     }
-    const double service_s = 0.0005 + rng_.uniform() * 0.002;
+    // The service time comes from the arrival stream's own RNG, between
+    // this arrival's gap draw and the next one's.
+    const double service_s = 0.0005 + arrivals_.rng.uniform() * 0.002;
     const core::BackEndEntry held = entry;
     hup_.engine().schedule_after(
         sim::SimTime::seconds(service_s), [this, held, service_s] {
@@ -136,19 +117,15 @@ class LoadDriver {
   core::Hup& hup_;
   core::ServiceSwitch& sw_;
   const core::ServiceRecord& record_;  // deque slot: address is stable
-  workload::TrafficTrace trace_;
-  sim::Rng rng_;
-  sim::SimTime t0_;
-  double horizon_s_ = 0;
   InvariantChecker* checker_ = nullptr;
-  std::uint64_t attempts_ = 0;
+  workload::ArrivalProcess arrivals_;
   std::uint64_t completed_ = 0;
   std::uint64_t failovers_ = 0;
 };
 
 std::uint64_t end_state_digest(core::Hup& hup, const ChaosReport& report,
-                               const std::vector<std::unique_ptr<LoadDriver>>&
-                                   drivers) {
+                               const std::vector<std::unique_ptr<ServiceLoad>>&
+                                   loads) {
   std::uint64_t h = kFnvOffset;
   for (const core::TraceEvent& event : hup.trace().events()) {
     mix(h, event.at.to_seconds());
@@ -195,9 +172,9 @@ std::uint64_t end_state_digest(core::Hup& hup, const ChaosReport& report,
     mix(h, static_cast<std::uint64_t>(host.slices().size()));
   }
   mix(h, report.faults_injected);
-  for (const auto& driver : drivers) {
-    mix(h, driver->attempts());
-    mix(h, driver->completed());
+  for (const auto& load : loads) {
+    mix(h, load->attempts());
+    mix(h, load->completed());
   }
   return h;
 }
@@ -363,18 +340,18 @@ ChaosReport run_scenario(const ChaosSpec& spec, const ChaosOptions& options) {
     return report;
   }
 
-  std::vector<std::unique_ptr<LoadDriver>> drivers;
+  std::vector<std::unique_ptr<ServiceLoad>> loads;
   for (const ChaosService& service : spec.services) {
     if (service.trace.empty()) continue;
     core::ServiceSwitch* sw = hup.master().find_switch(service.name);
     const core::ServiceRecord* record =
         hup.master().find_service(service.name);
     if (!sw || !record) continue;  // rejected at admission
-    drivers.push_back(std::make_unique<LoadDriver>(
+    loads.push_back(std::make_unique<ServiceLoad>(
         hup, *sw, *record, trace_from_phases(service.trace),
         service.traffic_seed, spec.horizon_s,
         checker ? &*checker : nullptr));
-    drivers.back()->start();
+    loads.back()->start();
   }
 
   hup.engine().run_until(t0 + sim::SimTime::seconds(spec.horizon_s));
@@ -394,8 +371,8 @@ ChaosReport run_scenario(const ChaosSpec& spec, const ChaosOptions& options) {
     hup.engine().run();
   }
 
-  for (const auto& driver : drivers) {
-    report.requests += driver->attempts();
+  for (const auto& load : loads) {
+    report.requests += load->attempts();
   }
   hup.master().services().for_each(
       [&](const std::string&, const core::ServiceRecord& record) {
@@ -406,13 +383,13 @@ ChaosReport run_scenario(const ChaosSpec& spec, const ChaosOptions& options) {
 
   if (checker) {
     checker->sweep();
-    for (const auto& driver : drivers) {
-      const core::ServiceSwitch& sw = driver->service_switch();
+    for (const auto& load : loads) {
+      const core::ServiceSwitch& sw = load->service_switch();
       checker->expect(
-          driver->attempts() ==
+          load->attempts() ==
               sw.requests_routed() + sw.requests_refused(),
           "request-conservation",
-          sw.service_name() + " saw " + std::to_string(driver->attempts()) +
+          sw.service_name() + " saw " + std::to_string(load->attempts()) +
               " arrivals but routed+refused = " +
               std::to_string(sw.requests_routed() + sw.requests_refused()));
     }
@@ -425,7 +402,7 @@ ChaosReport run_scenario(const ChaosSpec& spec, const ChaosOptions& options) {
     report.violations = checker->violations();
   }
 
-  report.digest = end_state_digest(hup, report, drivers);
+  report.digest = end_state_digest(hup, report, loads);
   return report;
 }
 

@@ -2,6 +2,8 @@
 
 #include <set>
 
+#include "core/scenario.hpp"
+
 namespace soda::chaos {
 
 std::string chaos_host_name(const ChaosSpec& spec, int index) {
@@ -14,7 +16,15 @@ std::string chaos_host_name(const ChaosSpec& spec, int index) {
 
 Status validate_spec(const ChaosSpec& spec) {
   if (spec.hosts.empty()) return Error{"chaos spec has no hosts"};
-  if (!(spec.horizon_s > 0)) return Error{"chaos spec horizon must be > 0"};
+  if (!(spec.horizon_s > 0 && spec.horizon_s <= core::kMaxAdvanceSeconds)) {
+    return Error{"chaos spec horizon must lie in (0, " +
+                 std::to_string(static_cast<int>(core::kMaxAdvanceSeconds)) +
+                 "] s"};
+  }
+  if (spec.content_mb < 1 || spec.content_mb > core::kMaxContentMb) {
+    return Error{"chaos spec content-mb must be 1.." +
+                 std::to_string(core::kMaxContentMb)};
+  }
   std::set<std::string> names;
   for (const ChaosService& service : spec.services) {
     if (service.name.empty()) return Error{"chaos service with empty name"};

@@ -82,9 +82,10 @@ struct ChaosSpec {
 /// global index ("tacoma-2").
 std::string chaos_host_name(const ChaosSpec& spec, int index);
 
-/// Structural validity: >= 1 host, unique service names, fault host indices
-/// in range, positive slow/lossy factors, sorted fault times, quantized
-/// horizon. The generator always produces valid specs; the Shrinker uses
+/// Structural validity: >= 1 host, a horizon of at most
+/// core::kMaxAdvanceSeconds, content within core::kMaxContentMb, unique
+/// service names, fault host indices in range, positive slow/lossy factors,
+/// sorted fault times. The generator always produces valid specs; the Shrinker uses
 /// this to refuse degenerate candidates.
 Status validate_spec(const ChaosSpec& spec);
 

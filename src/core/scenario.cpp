@@ -1,6 +1,7 @@
 #include "core/scenario.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <optional>
 
@@ -75,13 +76,19 @@ Result<long long> arg_int(const ScenarioCommand& cmd, const std::string& raw) {
 /// 16-address pools, and small enough that a typo cannot exhaust memory.
 constexpr long long kMaxPoolSize = 65'536;
 
-/// Largest web dataset a `publish` line may ask for, in MB: 64 GiB, far
-/// above the committed scenarios' 8-16 MB, and small enough that a typo
-/// cannot stall image distribution.
-constexpr long long kMaxContentMb = 65'536;
-
 std::string error_at(int line, const std::string& message) {
   return "line " + std::to_string(line) + ": " + message;
+}
+
+/// arg_int for a unit count, which the API carries as an int: a value that
+/// does not fit is an error, never a silent wrap.
+Result<int> arg_count(const ScenarioCommand& cmd, const std::string& raw) {
+  auto value = arg_int(cmd, raw);
+  if (!value.ok()) return value.error();
+  if (value.value() > std::numeric_limits<int>::max()) {
+    return Error{error_at(cmd.line, "count '" + raw + "' is too large")};
+  }
+  return static_cast<int>(value.value());
 }
 
 /// Execution state threaded through the command handlers. The Hup is built
@@ -244,9 +251,11 @@ Status execute(Runtime& rt, const ScenarioCommand& cmd) {
   }
   if (cmd.verb == "advance") {
     const auto seconds = util::parse_double(cmd.args[0]);
-    if (!seconds || *seconds < 0) {
-      return Error{error_at(cmd.line, "'advance' takes seconds >= 0, got '" +
-                                          cmd.args[0] + "'")};
+    if (!seconds || *seconds > kMaxAdvanceSeconds) {
+      return Error{error_at(
+          cmd.line, "'advance' takes 0.." +
+                        std::to_string(static_cast<int>(kMaxAdvanceSeconds)) +
+                        " seconds, got '" + cmd.args[0] + "'")};
     }
     sim::Engine& engine = rt.hup().engine();
     engine.run_until(engine.now() + sim::SimTime::seconds(*seconds));
@@ -373,13 +382,13 @@ Status execute(Runtime& rt, const ScenarioCommand& cmd) {
     if (it == rt.images.end()) {
       return Error{error_at(cmd.line, "image '" + cmd.args[1] + "' not published")};
     }
-    auto n = arg_int(cmd, cmd.args[2]);
+    auto n = arg_count(cmd, cmd.args[2]);
     if (!n.ok()) return n.error();
     ServiceCreationRequest request;
     request.credentials = {rt.asp_id, rt.api_key};
     request.service_name = cmd.args[0];
     request.image_location = it->second;
-    request.requirement = {static_cast<int>(n.value()), {}};
+    request.requirement = {n.value(), {}};
     std::optional<ApiError> failure;
     std::size_t nodes = 0;
     rt.hup().agent().service_creation(
@@ -399,12 +408,12 @@ Status execute(Runtime& rt, const ScenarioCommand& cmd) {
     return {};
   }
   if (cmd.verb == "resize") {
-    auto n = arg_int(cmd, cmd.args[1]);
+    auto n = arg_count(cmd, cmd.args[1]);
     if (!n.ok()) return n.error();
     std::optional<ApiError> failure;
     rt.hup().agent().service_resizing(
         ServiceResizingRequest{{rt.asp_id, rt.api_key}, cmd.args[0],
-                               static_cast<int>(n.value())},
+                               n.value()},
         [&](ApiResult<ServiceResizingReply> reply, sim::SimTime) {
           if (!reply.ok()) failure = reply.error();
         });

@@ -27,6 +27,17 @@
 
 namespace soda::core {
 
+/// Largest web dataset a `publish` line may ask for, in MB: 64 GiB, far
+/// above the committed scenarios' 8-16 MB, and small enough that a typo
+/// cannot stall image distribution. Chaos specs share the bound.
+inline constexpr long long kMaxContentMb = 65'536;
+
+/// Longest simulated span one `advance` line may ask for: one day, far
+/// beyond any committed scenario, and short enough that neither the clock
+/// overflows nor the periodic timers keep a run busy for minutes. A chaos
+/// spec's whole horizon shares the bound.
+inline constexpr double kMaxAdvanceSeconds = 86'400;
+
 /// One parsed scenario command.
 struct ScenarioCommand {
   int line = 0;

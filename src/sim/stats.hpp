@@ -112,43 +112,4 @@ class TimeSeries {
   std::vector<Point> points_;
 };
 
-/// Fixed-width histogram over [lo, hi). Out-of-range samples are counted
-/// separately as underflow/overflow — never clamped into the edge buckets,
-/// which would silently corrupt tail quantiles.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const;
-  /// All samples ever added, including out-of-range ones.
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  /// Samples that landed inside [lo, hi).
-  [[nodiscard]] std::uint64_t in_range() const noexcept {
-    return total_ - underflow_ - overflow_;
-  }
-  /// Samples below lo / at-or-above hi.
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  /// Inclusive lower bound of bucket i.
-  [[nodiscard]] double bucket_low(std::size_t i) const;
-
-  /// Quantile estimate over ALL samples (q in [0, 1]). Ranks that fall in
-  /// the underflow mass report lo (the value is only known to be < lo);
-  /// ranks in the overflow mass report hi. In-range ranks interpolate
-  /// within their bucket. Empty histogram -> 0.
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-};
-
 }  // namespace soda::sim

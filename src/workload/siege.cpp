@@ -24,8 +24,7 @@ SiegeClient::SiegeClient(sim::Engine& engine, net::FlowNetwork& network,
       client_(client),
       switch_(service_switch),
       switch_node_(switch_node),
-      config_(config),
-      rng_(config.seed) {
+      config_(config) {
   SODA_EXPECTS(config_.max_requests >= 1);
   SODA_EXPECTS(switch_ == nullptr || switch_node_.has_value());
 }
@@ -67,22 +66,10 @@ void SiegeClient::register_backend(net::Ipv4Address address,
 
 void SiegeClient::start() {
   SODA_EXPECTS(!backends_.empty());
-  if (config_.arrival_rate > 0) {
-    schedule_next_arrival();
-  } else {
-    const int workers =
-        static_cast<int>(std::min<std::uint64_t>(
-            static_cast<std::uint64_t>(config_.concurrency), config_.max_requests));
-    for (int i = 0; i < workers; ++i) issue_request();
-  }
-}
-
-void SiegeClient::schedule_next_arrival() {
-  if (issued_ >= config_.max_requests) return;
-  engine_.schedule_after(rng_.poisson_gap(config_.arrival_rate), [this] {
-    issue_request();
-    schedule_next_arrival();
-  });
+  const int workers =
+      static_cast<int>(std::min<std::uint64_t>(
+          static_cast<std::uint64_t>(config_.concurrency), config_.max_requests));
+  for (int i = 0; i < workers; ++i) issue_request();
 }
 
 void SiegeClient::issue_request() {
@@ -93,19 +80,6 @@ void SiegeClient::issue_request() {
 
 void SiegeClient::inject(sim::SimTime scheduled) {
   external_drive_ = true;
-  ++issued_;
-  if (config_.max_in_flight > 0 && in_flight_ >= config_.max_in_flight) {
-    backlog_.push_back(scheduled);
-    return;
-  }
-  begin_request(scheduled);
-}
-
-void SiegeClient::pump_backlog() {
-  if (backlog_.empty()) return;
-  if (config_.max_in_flight > 0 && in_flight_ >= config_.max_in_flight) return;
-  const sim::SimTime scheduled = backlog_.front();
-  backlog_.pop_front();
   begin_request(scheduled);
 }
 
@@ -122,14 +96,10 @@ void SiegeClient::finish_refused(sim::SimTime started) {
     outcome.refused = true;
     observer_(outcome);
   }
-  --in_flight_;
-  pump_backlog();
   maybe_continue();
 }
 
 void SiegeClient::begin_request(sim::SimTime started) {
-  ++in_flight_;
-
   if (switch_ == nullptr) {
     // Direct scenario: one backend, no switch hop.
     SODA_EXPECTS(backends_.size() == 1);
@@ -227,8 +197,6 @@ void SiegeClient::on_response(const core::BackEndEntry& entry,
     outcome.backend = entry.address;
     observer_(outcome);
   }
-  --in_flight_;
-  pump_backlog();
   maybe_continue();
 }
 
@@ -236,7 +204,6 @@ void SiegeClient::maybe_continue() {
   // Externally driven (inject): the TrafficEngine owns the arrival process;
   // a completion must never spawn a closed-loop follow-up request.
   if (external_drive_) return;
-  if (config_.arrival_rate > 0) return;
   if (issued_ >= config_.max_requests) return;
   engine_.schedule_after(config_.think_time, [this] { issue_request(); });
 }

@@ -1,9 +1,9 @@
 // A siege-like HTTP request generator (the paper uses `siege` to drive the
-// web content service, §5). Supports closed-loop operation (N concurrent
-// clients with think time) and open-loop Poisson arrivals, measures per-
-// request response time end to end, and attributes every request to the
-// backend the service switch picked — the measurements behind Figures 4
-// and 6.
+// web content service, §5). Runs closed loop (N concurrent clients with
+// think time) or takes open-loop arrivals from a TrafficEngine through
+// inject(), measures per-request response time end to end, and attributes
+// every request to the backend the service switch picked — the
+// measurements behind Figures 4 and 6.
 //
 // The request loop rides the switch's allocation-free data plane: backend
 // attribution uses a sorted dense registry (binary search by address, built
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "core/switch.hpp"
 #include "net/flow_network.hpp"
 #include "sim/engine.hpp"
-#include "sim/random.hpp"
 #include "sim/stats.hpp"
 #include "workload/webservice.hpp"
 
@@ -27,18 +25,14 @@ namespace soda::workload {
 
 /// Load-generation parameters.
 struct SiegeConfig {
-  /// Closed loop: number of concurrent simulated users. Ignored when
-  /// arrival_rate > 0.
+  /// Closed loop: number of concurrent simulated users.
   int concurrency = 8;
-  /// Open loop: Poisson arrival rate (requests/second); 0 = closed loop.
-  double arrival_rate = 0;
   /// Closed loop: pause between a user's response and next request.
   sim::SimTime think_time = sim::SimTime::milliseconds(50);
   /// Bytes of content each request fetches (the paper's "dataset size").
   std::int64_t response_bytes = 8 * 1024;
-  /// Total requests to issue before stopping.
+  /// Closed loop: total requests to issue before stopping.
   std::uint64_t max_requests = 500;
-  std::uint64_t seed = 0x51E6E;
   /// Forwarding latency inside the switch itself (see switch_forward_cost).
   sim::SimTime switch_delay = sim::SimTime::microseconds(120);
   /// When non-empty, requests carry this target and the switch routes by
@@ -49,11 +43,6 @@ struct SiegeConfig {
   /// StreamingStats pipeline replaces O(requests) sample storage, and the
   /// observer hook still sees every outcome.
   bool record_samples = true;
-  /// inject() only: maximum requests in flight (0 = unlimited). Arrivals
-  /// beyond the cap queue client-side and are dispatched as completions
-  /// free a slot — their latency still counts from the *scheduled* arrival,
-  /// so client-side queueing delay is measured, not omitted.
-  std::uint64_t max_in_flight = 0;
 };
 
 /// Drives requests from one client machine at a service.
@@ -72,7 +61,7 @@ class SiegeClient {
   void register_backend(net::Ipv4Address address, WebContentServer* server,
                         net::NodeId server_node);
 
-  /// Begins issuing requests.
+  /// Begins the closed loop.
   void start();
 
   /// Outcome of one request, delivered to the observer as it resolves.
@@ -105,9 +94,6 @@ class SiegeClient {
   }
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
   [[nodiscard]] std::uint64_t refused() const noexcept { return refused_; }
-  /// Requests accepted by inject() but still waiting for an in-flight slot
-  /// (only non-zero with max_in_flight set).
-  [[nodiscard]] std::size_t backlog() const noexcept { return backlog_.size(); }
   /// Requests that were re-routed after their first backend was down.
   [[nodiscard]] std::uint64_t failed_over() const noexcept { return failed_over_; }
 
@@ -145,19 +131,16 @@ class SiegeClient {
   /// The shared request path: route (with failover), dispatch, measure.
   /// `started` is the instant the latency clock runs from.
   void begin_request(sim::SimTime started);
-  void schedule_next_arrival();
   /// Closed loop: after a request ends (served or refused), think then issue
-  /// the next one. Open loop: no-op (arrivals self-schedule).
+  /// the next one. Externally driven: no-op.
   void maybe_continue();
   void dispatch_to(const core::BackEndEntry& entry, WebContentServer* server,
                    sim::SimTime started);
   void on_response(const core::BackEndEntry& entry, sim::SimTime started,
                    sim::SimTime delivered);
   /// Every refusal path funnels here: counts it, timestamps it, notifies
-  /// the observer, frees the in-flight slot, and continues the loop.
+  /// the observer, and continues the loop.
   void finish_refused(sim::SimTime started);
-  /// Dispatches backlogged injected arrivals freed by a completion.
-  void pump_backlog();
 
   Backend* find_backend(std::uint32_t address) noexcept;
   [[nodiscard]] const Backend* find_backend(std::uint32_t address) const noexcept;
@@ -168,18 +151,15 @@ class SiegeClient {
   core::ServiceSwitch* switch_;
   std::optional<net::NodeId> switch_node_;
   SiegeConfig config_;
-  sim::Rng rng_;
   std::vector<Backend> backends_;  // sorted by address
   sim::SampleSet overall_;
   sim::SampleSet empty_;
   sim::TimeSeries refusal_series_;
   Observer observer_;
-  std::deque<sim::SimTime> backlog_;  // injected arrivals awaiting a slot
   std::uint64_t issued_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t refused_ = 0;
   std::uint64_t failed_over_ = 0;
-  std::uint64_t in_flight_ = 0;
   bool external_drive_ = false;  // inject() was used; closed loop disabled
 };
 

@@ -1,5 +1,6 @@
 #include "workload/traffic.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -271,6 +272,63 @@ double TrafficTrace::expected_arrivals() const noexcept {
   return total;
 }
 
+// ---------- ArrivalProcess ----------
+
+ArrivalProcess::ArrivalProcess(sim::Engine& engine, TrafficTrace trace_in,
+                               sim::Rng rng_in, OnArrival on_arrival,
+                               double horizon_s)
+    : trace(std::move(trace_in)),
+      rng(rng_in),
+      end_s(std::min(trace.duration_s(), horizon_s)),
+      engine_(&engine),
+      on_arrival_(std::move(on_arrival)) {}
+
+void ArrivalProcess::start() {
+  t0 = engine_->now();
+  schedule_next();
+}
+
+void ArrivalProcess::resume() {
+  if (done) return;
+  SODA_EXPECTS(next_arrival >= engine_->now());
+  engine_->schedule_at(next_arrival, [this] { fire(); });
+}
+
+void ArrivalProcess::schedule_next() {
+  if (trace.is_file()) {
+    const std::vector<double>& offsets = trace.file_offsets();
+    if (scheduled >= offsets.size()) {
+      done = true;
+      return;
+    }
+    next_arrival = t0 + sim::SimTime::seconds(offsets[scheduled]);
+  } else {
+    // Rate-chasing: each gap is exponential at the instantaneous rate where
+    // the previous arrival landed. Exact for constant/burst phases; for
+    // ramps and diurnal curves the rate drifts within one gap by at most
+    // rate'(t)/rate(t)² — negligible at the rates the benches drive.
+    const double offset = (engine_->now() - t0).to_seconds();
+    if (offset >= end_s) {
+      done = true;
+      return;
+    }
+    const double rate = std::max(trace.rate_at(offset), kMinActiveRate);
+    next_arrival =
+        engine_->now() + sim::SimTime::seconds(rng.exponential(1.0 / rate));
+  }
+  engine_->schedule_at(next_arrival, [this] { fire(); });
+}
+
+void ArrivalProcess::fire() {
+  if (!trace.is_file() && (engine_->now() - t0).to_seconds() >= end_s) {
+    done = true;
+    return;
+  }
+  ++scheduled;
+  on_arrival_();
+  schedule_next();
+}
+
 // ---------- TrafficEngine ----------
 
 TrafficEngine::TrafficEngine(sim::Engine& engine, TrafficEngineConfig config)
@@ -280,28 +338,28 @@ void TrafficEngine::add_stream(std::string name, SiegeClient& client,
                                TrafficTrace trace) {
   SODA_EXPECTS(!started_);
   SODA_EXPECTS(!trace.phases().empty() || trace.is_file());
-  Stream stream;
-  stream.name = std::move(name);
-  stream.client = &client;
-  stream.trace = std::move(trace);
+  sim::StreamingStats stats(config_.stats);
+  stats.reserve_duration(sim::SimTime::seconds(trace.duration_s() * 2.0));
   // Per-stream deterministic RNG: splitmix-style spread so streams added in
   // the same order draw identical sequences on every replica.
-  stream.rng = sim::Rng(config_.seed + 0x9E3779B97F4A7C15ULL *
-                                           (streams_.size() + 1));
-  stream.stats = sim::StreamingStats(config_.stats);
-  stream.stats.reserve_duration(
-      sim::SimTime::seconds(stream.trace.duration_s() * 2.0));
-  streams_.push_back(std::move(stream));
+  const sim::Rng rng(config_.seed +
+                     0x9E3779B97F4A7C15ULL * (streams_.size() + 1));
+  // Open loop: each arrival issues one request whose latency clock starts
+  // at the arrival, whatever is still outstanding.
+  ArrivalProcess arrivals(engine_, std::move(trace), rng,
+                          [client = &client, engine = &engine_] {
+                            client->inject(engine->now());
+                          });
+  streams_.push_back(
+      Stream{std::move(name), &client, std::move(arrivals), std::move(stats)});
 }
 
 void TrafficEngine::start() {
   SODA_EXPECTS(!started_ && !streams_.empty());
   started_ = true;
   for (std::size_t i = 0; i < streams_.size(); ++i) {
-    Stream& stream = streams_[i];
-    stream.t0 = engine_.now();
     install_observer(i);
-    schedule_next(stream);
+    streams_[i].arrivals.start();
   }
 }
 
@@ -318,60 +376,10 @@ void TrafficEngine::install_observer(std::size_t index) {
       });
 }
 
-void TrafficEngine::schedule_next(Stream& stream) {
-  const std::size_t index =
-      static_cast<std::size_t>(&stream - streams_.data());
-  if (stream.trace.is_file()) {
-    // Recorded replay: the cursor is the scheduled-arrival count, so the
-    // checkpoint format already carries it.
-    const std::vector<double>& offsets = stream.trace.file_offsets();
-    if (stream.scheduled >= offsets.size()) {
-      stream.arrivals_done = true;
-      return;
-    }
-    stream.next_arrival =
-        stream.t0 + sim::SimTime::seconds(offsets[stream.scheduled]);
-  } else {
-    // Non-homogeneous Poisson via rate-chasing: each gap is exponential at
-    // the instantaneous rate where the previous arrival landed. Exact for
-    // constant/burst phases; for ramps and diurnal curves the rate drifts
-    // within one gap by at most rate'(t)/rate(t)² — negligible at the rates
-    // the benches drive.
-    const double offset = (engine_.now() - stream.t0).to_seconds();
-    if (offset >= stream.trace.duration_s()) {
-      stream.arrivals_done = true;
-      return;
-    }
-    const double rate =
-        std::max(stream.trace.rate_at(offset), kMinActiveRate);
-    const sim::SimTime gap =
-        sim::SimTime::seconds(stream.rng.exponential(1.0 / rate));
-    stream.next_arrival = engine_.now() + gap;
-  }
-  engine_.schedule_at(stream.next_arrival,
-                      [this, index] { arrival_fire(index); });
-}
-
-void TrafficEngine::arrival_fire(std::size_t index) {
-  Stream& s = streams_[index];
-  if (!s.trace.is_file()) {
-    const double at = (engine_.now() - s.t0).to_seconds();
-    if (at >= s.trace.duration_s()) {
-      s.arrivals_done = true;
-      return;
-    }
-  }
-  ++s.scheduled;
-  // Open loop: the arrival fires regardless of outstanding completions;
-  // its latency clock starts *now*, the scheduled time.
-  s.client->inject(engine_.now());
-  schedule_next(s);
-}
-
 bool TrafficEngine::finished() const noexcept {
   for (const Stream& stream : streams_) {
-    if (!stream.arrivals_done) return false;
-    if (stream.resolved != stream.scheduled) return false;
+    if (!stream.arrivals.done) return false;
+    if (stream.resolved != stream.arrivals.scheduled) return false;
   }
   return true;
 }
@@ -389,7 +397,7 @@ const sim::StreamingStats& TrafficEngine::stats(std::string_view name) const {
 }
 
 std::uint64_t TrafficEngine::scheduled(std::string_view name) const {
-  return find(name).scheduled;
+  return find(name).arrivals.scheduled;
 }
 
 void TrafficEngine::register_gauges(core::MetricsRegistry& metrics) const {
@@ -410,12 +418,13 @@ void TrafficEngine::save_state(snapshot::Writer& writer) const {
   writer.u64(streams_.size());
   for (const Stream& stream : streams_) {
     writer.str(stream.name);
-    for (const std::uint64_t word : stream.rng.state()) writer.u64(word);
-    writer.time(stream.t0);
-    writer.time(stream.next_arrival);
-    writer.u64(stream.scheduled);
+    const ArrivalProcess& arrivals = stream.arrivals;
+    for (const std::uint64_t word : arrivals.rng.state()) writer.u64(word);
+    writer.time(arrivals.t0);
+    writer.time(arrivals.next_arrival);
+    writer.u64(arrivals.scheduled);
     writer.u64(stream.resolved);
-    writer.boolean(stream.arrivals_done);
+    writer.boolean(arrivals.done);
     stream.stats.save_state(writer);
   }
   writer.end_section();
@@ -437,14 +446,15 @@ void TrafficEngine::load_state(snapshot::Reader& reader) {
                   "', registered '" + stream.name + "'");
       break;
     }
+    ArrivalProcess& arrivals = stream.arrivals;
     std::array<std::uint64_t, 4> state{};
     for (std::uint64_t& word : state) word = reader.u64();
-    stream.rng.set_state(state);
-    stream.t0 = reader.time();
-    stream.next_arrival = reader.time();
-    stream.scheduled = reader.u64();
+    arrivals.rng.set_state(state);
+    arrivals.t0 = reader.time();
+    arrivals.next_arrival = reader.time();
+    arrivals.scheduled = reader.u64();
     stream.resolved = reader.u64();
-    stream.arrivals_done = reader.boolean();
+    arrivals.done = reader.boolean();
     stream.stats.load_state(reader);
     if (started_) install_observer(i);
   }
@@ -453,18 +463,13 @@ void TrafficEngine::load_state(snapshot::Reader& reader) {
 
 void TrafficEngine::rearm_arrivals() {
   SODA_EXPECTS(started_);
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    Stream& stream = streams_[i];
-    if (stream.arrivals_done) continue;
-    SODA_EXPECTS(stream.next_arrival >= engine_.now());
-    engine_.schedule_at(stream.next_arrival, [this, i] { arrival_fire(i); });
-  }
+  for (Stream& stream : streams_) stream.arrivals.resume();
 }
 
 std::uint64_t TrafficEngine::digest() const noexcept {
   std::uint64_t hash = kFnvOffset;
   for (const Stream& stream : streams_) {
-    hash = fnv_mix(hash, stream.scheduled);
+    hash = fnv_mix(hash, stream.arrivals.scheduled);
     hash = fnv_mix(hash, stream.resolved);
     hash = fnv_mix(hash, stream.stats.digest());
   }

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -105,6 +107,49 @@ class TrafficTrace {
   std::vector<double> file_offsets_;  // non-decreasing arrival offsets
 };
 
+/// The open-loop arrival process, and the only code that schedules
+/// arrivals: it replays a trace as a chain of engine events, independent of
+/// completions. Shaped traces draw each gap from `rng`, exponential at the
+/// trace's instantaneous rate where the previous arrival landed
+/// (non-homogeneous Poisson by rate-chasing); recorded traces fire at their
+/// exact offsets, with `scheduled` as the replay cursor. Shaped arrivals
+/// stop at `end_s` seconds after start. TrafficEngine streams and chaos
+/// services each own one; the cursor is public data so its owner can
+/// checkpoint it inside its own snapshot section.
+class ArrivalProcess {
+ public:
+  using OnArrival = std::function<void()>;
+
+  /// `on_arrival` runs at each arrival, after `scheduled` counts it and
+  /// before the next gap is drawn, so it may draw from `rng` itself.
+  /// `end_s` is min(trace.duration_s(), horizon_s).
+  ArrivalProcess(sim::Engine& engine, TrafficTrace trace, sim::Rng rng,
+                 OnArrival on_arrival,
+                 double horizon_s = std::numeric_limits<double>::infinity());
+
+  /// Starts the chain at the engine's current time. The process must not
+  /// move once started: pending events point at it.
+  void start();
+  /// Re-schedules a restored process's pending arrival at `next_arrival`
+  /// (nothing when done). The engine clock must not be past it.
+  void resume();
+
+  TrafficTrace trace;
+  sim::Rng rng;
+  double end_s = 0;
+  sim::SimTime t0;            // trace origin (engine time at start())
+  sim::SimTime next_arrival;  // absolute time of the pending arrival
+  std::uint64_t scheduled = 0;
+  bool done = false;
+
+ private:
+  void schedule_next();
+  void fire();
+
+  sim::Engine* engine_;
+  OnArrival on_arrival_;
+};
+
 /// Engine-wide configuration.
 struct TrafficEngineConfig {
   sim::StreamingStatsConfig stats;
@@ -112,11 +157,10 @@ struct TrafficEngineConfig {
 };
 
 /// Drives one or more open-loop streams (one per service in a multi-tenant
-/// mix), each replaying its own trace through a SiegeClient's routing/
-/// failover path, each measured by its own StreamingStats. Arrival gaps are
-/// exponential at the trace's instantaneous rate (non-homogeneous Poisson),
-/// drawn from a per-stream deterministic RNG — replicas are bit-identical
-/// across serial and ParallelRunner execution.
+/// mix), each an ArrivalProcess feeding a SiegeClient's routing/failover
+/// path, each measured by its own StreamingStats. Every stream draws from
+/// its own deterministic RNG, so replicas are bit-identical across serial
+/// and ParallelRunner execution.
 class TrafficEngine {
  public:
   explicit TrafficEngine(sim::Engine& engine, TrafficEngineConfig config = {});
@@ -168,25 +212,18 @@ class TrafficEngine {
   struct Stream {
     std::string name;
     SiegeClient* client = nullptr;
-    TrafficTrace trace;
-    sim::Rng rng;
+    ArrivalProcess arrivals;
     sim::StreamingStats stats;
-    sim::SimTime t0;            // trace origin (engine time at start())
-    sim::SimTime next_arrival;  // absolute time of the pending arrival
-    std::uint64_t scheduled = 0;
     std::uint64_t resolved = 0;  // completions + refusals observed
-    bool arrivals_done = false;
   };
 
-  void schedule_next(Stream& stream);
-  void arrival_fire(std::size_t index);
   void install_observer(std::size_t index);
   [[nodiscard]] const Stream& find(std::string_view name) const;
 
   sim::Engine& engine_;
   TrafficEngineConfig config_;
-  /// deque-like stability: streams are appended before start() only, and
-  /// scheduled callbacks capture stream indices, so a vector is safe.
+  /// Streams are appended before start() only, and pending arrivals point
+  /// at their stream's ArrivalProcess, so a vector is safe.
   std::vector<Stream> streams_;
   bool started_ = false;
 };

@@ -5,7 +5,9 @@
 // hook, deterministic shrinking, and exact DSL round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "core/faults.hpp"
 #include "sim/parallel_runner.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace soda::chaos {
 namespace {
@@ -147,6 +150,104 @@ TEST_F(ChaosTest, PinnedCorpusReplaysClean) {
                     << violation.detail;
     }
   }
+}
+
+TEST_F(ChaosTest, CorpusDigestsArePinned) {
+  // Literal end-state digests of corpus seeds: any change to an arrival gap
+  // draw, a service-time draw, or their order moves them.
+  const std::pair<std::uint64_t, std::uint64_t> pinned[] = {
+      {4301716046084548042ULL, 0x31e80f48b400bbe5ULL},
+      {3486598996227834562ULL, 0x9663730f1d61bbdfULL},
+      {10599892143962636341ULL, 0x0aa2e848ce4ac520ULL},
+      {9015635777138635770ULL, 0xf58a528d7645f0c3ULL},
+      {14259837310342171719ULL, 0x7b0432474375137aULL},
+      {17950153488520661246ULL, 0x9c2c9724c4834231ULL},
+      {16388392643687688917ULL, 0x36fb97bafc503008ULL},
+      {2477719082025141471ULL, 0xc7b7359b8dcc1dc0ULL},
+      {1, 0x46992bd849c35514ULL},
+      {2, 0x5e2cda99df77fa0fULL},
+      {7, 0x4a7f5857cd7d8251ULL},
+      {13, 0x5bc5072be1c9b947ULL},
+  };
+  for (const auto& [seed, digest] : pinned) {
+    const ChaosReport report = run_scenario(generate_scenario(seed));
+    EXPECT_EQ(report.digest, digest) << "seed " << seed;
+  }
+}
+
+/// Parses seed 7's rendered reproducer with the line `from` replaced by
+/// `to`. Returns the parse error, which must name that line.
+std::string dsl_error_with(const std::string& from, const std::string& to) {
+  std::vector<std::string> lines =
+      util::split(render_dsl(generate_scenario(7)), '\n');
+  const auto it = std::find(lines.begin(), lines.end(), from);
+  if (it == lines.end()) return "no line '" + from + "'";
+  *it = to;
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  const auto parsed = parse_dsl(text);
+  if (parsed.ok()) return "accepted '" + to + "'";
+  const std::string& message = parsed.error().message;
+  const std::string where =
+      "line " + std::to_string(it - lines.begin() + 1) + ":";
+  if (message.find(where) == std::string::npos) {
+    return "'" + message + "' does not name " + where;
+  }
+  return message;
+}
+
+TEST_F(ChaosTest, DslRejectsOutOfRangeInputsWithLineNumbers) {
+  // Unchecked, each input crashes, hangs or silently runs something else:
+  // a content size that overflows into a negative dataset (abort), unit
+  // counts that wrap through int (n=4294967297 runs n=1), and horizons that
+  // overflow the clock (faults silently dropped) or run for minutes.
+  EXPECT_NE(dsl_error_with("publish web content-mb=1",
+                           "publish web content-mb=999999999999")
+                .find("content-mb=1..65536"),
+            std::string::npos);
+  EXPECT_NE(dsl_error_with("publish web content-mb=1",
+                           "publish web content-mb=0")
+                .find("content-mb=1..65536"),
+            std::string::npos);
+  EXPECT_NE(dsl_error_with("create svc0 web n=2", "create svc0 web n=4294967297")
+                .find("n=1..2147483647"),
+            std::string::npos);
+  EXPECT_NE(dsl_error_with("create svc0 web n=2", "create svc0 web n=2.5")
+                .find("bad option"),
+            std::string::npos);
+  EXPECT_NE(dsl_error_with("traffic svc2 burst:104x1.5 seed=226530",
+                           "traffic svc2 burst:104x1.5 seed=18446744073709551616")
+                .find("bad option"),
+            std::string::npos);
+  for (const char* advance : {"advance 1e11", "advance 1e9"}) {
+    EXPECT_NE(dsl_error_with("advance 6", advance).find("horizon limit"),
+              std::string::npos)
+        << advance;
+  }
+
+  // The bounds themselves are accepted, and a horizon at the limit replays
+  // quickly with the same end state.
+  ChaosSpec spec = generate_scenario(7);
+  spec.content_mb = 65536;
+  spec.services[0].units = std::numeric_limits<int>::max();
+  EXPECT_TRUE(parse_dsl(render_dsl(spec)).ok());
+  spec = generate_scenario(7);
+  const std::uint64_t digest = run_scenario(spec).digest;
+  spec.horizon_s = 86'400;
+  const auto parsed = parse_dsl(render_dsl(spec));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  EXPECT_EQ(run_scenario(parsed.value()).digest, digest);
+}
+
+TEST_F(ChaosTest, ValidateSpecBoundsHorizonAndContent) {
+  ChaosSpec spec = generate_scenario(7);
+  spec.horizon_s = 1e11;
+  EXPECT_FALSE(validate_spec(spec).ok());
+  EXPECT_FALSE(run_scenario(spec).setup_error.empty());
+  spec = generate_scenario(7);
+  spec.content_mb = 65537;
+  EXPECT_FALSE(validate_spec(spec).ok());
+  EXPECT_FALSE(run_scenario(spec).setup_error.empty());
 }
 
 TEST_F(ChaosTest, SyntheticViolationIsDetected) {

@@ -318,6 +318,36 @@ TEST(ScenarioRun, PublishRejectsOutOfRangeContentSize) {
   }
 }
 
+TEST(ScenarioRun, CreateAndResizeRejectCountsBeyondInt) {
+  // Unchecked, n=4294967298 wraps through int and creates a 2-unit
+  // service. The base setup takes lines 1-7.
+  Status status = run_script(with_base("create svc0 web n=4294967298\n"));
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().message.find("line 8"), std::string::npos)
+      << status.error().message;
+  EXPECT_NE(status.error().message.find("too large"), std::string::npos);
+  status = run_script(
+      with_base("create svc0 web n=1\nresize svc0 4294967297\n"));
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().message.find("line 9"), std::string::npos)
+      << status.error().message;
+  EXPECT_NE(status.error().message.find("too large"), std::string::npos);
+}
+
+TEST(ScenarioRun, AdvanceRejectsSpansBeyondOneDay) {
+  // Unchecked, 1e11 s overflows the nanosecond clock and 1e9 s keeps the
+  // periodic timers busy for minutes.
+  for (const char* seconds : {"1e11", "1e9", "86400.5"}) {
+    const Status status =
+        run_script(with_base("advance " + std::string(seconds) + "\n"));
+    ASSERT_FALSE(status.ok()) << seconds;
+    EXPECT_NE(status.error().message.find("line 8"), std::string::npos)
+        << status.error().message;
+    EXPECT_NE(status.error().message.find("0..86400"), std::string::npos);
+  }
+  EXPECT_TRUE(run_script(with_base("advance 2.5\n")).ok());
+}
+
 TEST(ScenarioRun, TrafficRejectsOversizedTrace) {
   const auto scenario = must(Scenario::parse(with_base(R"(
 create svc0 web n=1

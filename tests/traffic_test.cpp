@@ -1,6 +1,6 @@
 // Tests for the honest-latency measurement stack: the open-loop traffic
-// engine, the streaming stats pipeline behind it, and the SiegeClient
-// refusal/backlog accounting it depends on.
+// engine and its arrival process, the streaming stats pipeline behind it,
+// and the SiegeClient refusal accounting it depends on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -112,6 +112,12 @@ TEST(LogHistogram, OutOfRangeCountedSeparately) {
   EXPECT_EQ(h.overflow(), 1u);
   EXPECT_DOUBLE_EQ(h.min(), 1e-9);
   EXPECT_DOUBLE_EQ(h.max(), 1e9);
+  // The bottom rank sits in the underflow mass: only "< lo" is known, so
+  // report lo, never the lowest in-range bucket.
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 1e-3);
+  // The middle rank is the in-range sample, within one sub-bucket.
+  EXPECT_GE(h.quantile(0.5), 5.0);
+  EXPECT_LE(h.quantile(0.5), 5.0 * (1.0 + 2.0 / 8));
   // The top rank sits in the overflow mass: report the exact max, never a
   // clamped in-range bucket.
   EXPECT_DOUBLE_EQ(h.quantile(1.0), 1e9);
@@ -222,7 +228,7 @@ TEST(StreamingStats, DigestDetectsDivergence) {
   EXPECT_NE(a.digest(), b.digest());
 }
 
-// ---------- SiegeClient refusal + backlog accounting ----------
+// ---------- SiegeClient refusal accounting ----------
 
 TEST(Siege, RefusalsLeaveTimestampedSeries) {
   ServerBed bed;
@@ -290,34 +296,36 @@ TEST(Siege, FailoverRefusalLeavesNoPhantomConnection) {
 }
 
 TEST(Siege, InjectMeasuresFromScheduledArrival) {
-  // Open-loop contract: a backlogged arrival's latency clock starts at its
-  // scheduled time, so client-side queueing is measured, not omitted.
+  // Open-loop contract: a request's latency clock starts at its scheduled
+  // arrival, so delay before dispatch is measured, not omitted. Two
+  // identical requests, one injected on time and one 0.5 s late, differ in
+  // latency by exactly the lateness.
   ServerBed bed;
   WebContentServer server(bed.engine, bed.network, bed.server_node,
                           vm::ExecMode::kHostNative, 2.6, 1);
   SiegeConfig cfg;
-  cfg.max_in_flight = 1;
-  cfg.response_bytes = 256 * 1024;  // ~21 ms per transfer at 100 Mbps
+  cfg.response_bytes = 256 * 1024;
   SiegeClient siege(bed.engine, bed.network, bed.client, nullptr, std::nullopt,
                     cfg);
   siege.register_backend(net::Ipv4Address(10, 0, 0, 1), &server,
                          bed.server_node);
-  std::vector<double> latencies;
+  std::vector<SiegeClient::RequestOutcome> outcomes;
   siege.set_observer([&](const SiegeClient::RequestOutcome& outcome) {
-    EXPECT_FALSE(outcome.refused);
-    latencies.push_back(outcome.latency_s);
+    outcomes.push_back(outcome);
   });
-  for (int i = 0; i < 5; ++i) siege.inject(bed.engine.now());
-  EXPECT_EQ(siege.backlog(), 4u);
+  bed.engine.schedule_at(sim::SimTime::seconds(1), [] {});
   bed.engine.run();
-  ASSERT_EQ(latencies.size(), 5u);
-  EXPECT_EQ(siege.backlog(), 0u);
-  // Request k waits behind k predecessors: latencies must grow roughly
-  // linearly, and the last must be ~5x the first.
-  for (std::size_t i = 1; i < latencies.size(); ++i) {
-    EXPECT_GT(latencies[i], latencies[i - 1]);
-  }
-  EXPECT_GT(latencies.back(), 4.0 * latencies.front());
+  siege.inject(bed.engine.now());
+  bed.engine.run();
+  const sim::SimTime late = bed.engine.now() - sim::SimTime::milliseconds(500);
+  siege.inject(late);
+  bed.engine.run();
+
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_FALSE(outcomes[0].refused || outcomes[1].refused);
+  EXPECT_EQ(outcomes[1].scheduled, late);
+  EXPECT_GT(outcomes[0].latency_s, 0.0);
+  EXPECT_NEAR(outcomes[1].latency_s, outcomes[0].latency_s + 0.5, 1e-6);
 }
 
 // ---------- TrafficEngine ----------

@@ -129,25 +129,6 @@ TEST(Siege, ClosedLoopCompletesExactly) {
   EXPECT_GT(siege.response_times().mean(), 0.0);
 }
 
-TEST(Siege, OpenLoopIssuesAtRate) {
-  ServerBed bed;
-  WebContentServer server(bed.engine, bed.network, bed.server_node,
-                          vm::ExecMode::kHostNative, 2.6, 8);
-  SiegeConfig cfg;
-  cfg.arrival_rate = 200;
-  cfg.max_requests = 60;
-  cfg.response_bytes = 1024;
-  SiegeClient siege(bed.engine, bed.network, bed.client, nullptr, std::nullopt,
-                    cfg);
-  siege.register_backend(net::Ipv4Address(10, 0, 0, 1), &server,
-                         bed.server_node);
-  siege.start();
-  bed.engine.run();
-  EXPECT_EQ(siege.completed(), 60u);
-  // 60 arrivals at 200/s: the run should span roughly 0.3 s.
-  EXPECT_NEAR(bed.engine.now().to_seconds(), 0.3, 0.2);
-}
-
 TEST(Siege, RoutesThroughSwitchWithWrrSplit) {
   ServerBed bed;
   const net::NodeId node2 = bed.network.add_node("server2");
