@@ -21,7 +21,6 @@
 // SODA Daemon set proportional to the node's capacity (2M -> 2x the
 // bandwidth share): proportional shares are what keep the per-request
 // response time equal while seattle carries twice the requests.
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -29,6 +28,7 @@
 
 #include "bench_report.hpp"
 #include "core/hup.hpp"
+#include "harness.hpp"
 #include "image/image.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/streaming_stats.hpp"
@@ -100,6 +100,8 @@ Deployment deploy() {
 struct SeriesPoint {
   std::uint64_t served[2];
   double mean_ms[2];
+
+  friend bool operator==(const SeriesPoint&, const SeriesPoint&) = default;
 };
 
 SeriesPoint run_point(std::int64_t dataset_bytes, std::uint64_t requests,
@@ -131,11 +133,6 @@ SeriesPoint run_point(std::int64_t dataset_bytes, std::uint64_t requests,
     point.mean_ms[i] = siege.response_times_for(d.nodes[i].address).mean() * 1e3;
   }
   return point;
-}
-
-bool same_point(const SeriesPoint& a, const SeriesPoint& b) {
-  return a.served[0] == b.served[0] && a.served[1] == b.served[1] &&
-         a.mean_ms[0] == b.mean_ms[0] && a.mean_ms[1] == b.mean_ms[1];
 }
 
 // ---- Open-loop re-expression of the offered load -------------------------
@@ -204,24 +201,9 @@ int main() {
   // serially and once fanned out over ParallelRunner, and require the merged
   // statistics to be identical — thread scheduling must never leak into
   // results. Each run_point builds its own Hup/Engine, so jobs share nothing.
-  using Clock = std::chrono::steady_clock;
-  const auto serial_start = Clock::now();
-  std::vector<SeriesPoint> serial_points;
-  for (const auto size : sizes) serial_points.push_back(run_point(size, 300));
-  const double serial_s =
-      std::chrono::duration<double>(Clock::now() - serial_start).count();
-
-  const sim::ParallelRunner runner;
-  const auto parallel_start = Clock::now();
-  const auto points = runner.map(
+  const auto sweep = bench::serial_vs_parallel(
       kPoints, [&](std::size_t i) { return run_point(sizes[i], 300); });
-  const double parallel_s =
-      std::chrono::duration<double>(Clock::now() - parallel_start).count();
-
-  bool identical = true;
-  for (std::size_t i = 0; i < kPoints; ++i) {
-    identical = identical && same_point(serial_points[i], points[i]);
-  }
+  const auto& points = sweep.results;
 
   util::AsciiTable table({"Dataset size", "req (seattle)", "req (tacoma)",
                           "RT seattle (ms)", "RT tacoma (ms)", "RT ratio"});
@@ -265,6 +247,7 @@ int main() {
       {"fastest-response (EWMA)", [] { return core::make_fastest_response(); }},
   };
   constexpr std::size_t kPolicies = 5;
+  const sim::ParallelRunner runner;
   const auto ablation_points = runner.map(kPolicies, [&](std::size_t i) {
     return run_point(sizes[5], 300, policies[i].make());
   });
@@ -293,17 +276,12 @@ int main() {
   std::printf("\n== Open loop: offered load as TrafficTrace ==\n\n");
   const double open_rates[kPoints] = {60, 40, 25, 15, 8, 5};
   constexpr double kOpenSeconds = 8;
-  const auto open_serial = [&](std::size_t i) {
-    return run_open_point(sizes[i], workload::TrafficTrace().constant(
-                                        open_rates[i], kOpenSeconds));
-  };
-  std::vector<OpenPoint> open_points;
-  for (std::size_t i = 0; i < kPoints; ++i) open_points.push_back(open_serial(i));
-  const auto open_parallel = runner.map(kPoints, open_serial);
-  bool open_identical = true;
-  for (std::size_t i = 0; i < kPoints; ++i) {
-    open_identical = open_identical && open_points[i] == open_parallel[i];
-  }
+  const auto open_sweep =
+      bench::serial_vs_parallel(kPoints, [&](std::size_t i) {
+        return run_open_point(sizes[i], workload::TrafficTrace().constant(
+                                            open_rates[i], kOpenSeconds));
+      });
+  const auto& open_points = open_sweep.results;
 
   util::AsciiTable open_table({"Dataset size", "offered req/s", "req (seattle)",
                                "req (tacoma)", "p99 (ms)", "errors"});
@@ -367,20 +345,21 @@ int main() {
 
   std::printf("\nparallel sweep check: %s (serial %.2fs, parallel %.2fs on "
               "%zu worker(s))\n",
-              identical && open_identical
+              sweep.identical && open_sweep.identical
                   ? "statistics identical to serial run"
                   : "MISMATCH vs serial run",
-              serial_s, parallel_s, runner.thread_count());
+              sweep.serial_s, sweep.parallel_s, sweep.threads);
   soda::bench::BenchReport report;
-  report.record("fig4_sweep", {{"points", static_cast<double>(kPoints)},
-                               {"wall_s_serial", serial_s},
-                               {"wall_s_parallel", parallel_s},
-                               {"identical_to_serial", identical ? 1.0 : 0.0}});
+  report.record("fig4_sweep",
+                {{"points", static_cast<double>(kPoints)},
+                 {"wall_s_serial", sweep.serial_s},
+                 {"wall_s_parallel", sweep.parallel_s},
+                 {"identical_to_serial", sweep.identical ? 1.0 : 0.0}});
   report.record("fig4_open_loop",
                 {{"points", static_cast<double>(kPoints)},
-                 {"identical_to_serial", open_identical ? 1.0 : 0.0},
+                 {"identical_to_serial", open_sweep.identical ? 1.0 : 0.0},
                  {"overload_peak_p99_ms", peak_p99_ms},
                  {"overload_steady_p99_ms", steady_p99_ms}});
   report.write();
-  return identical && open_identical ? 0 : 1;
+  return sweep.identical && open_sweep.identical ? 0 : 1;
 }

@@ -10,7 +10,6 @@
 //
 // Extra series (design ablation): stride and lottery scheduling at the
 // service level.
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -18,8 +17,8 @@
 
 #include "bench_report.hpp"
 #include "core/switch.hpp"
+#include "harness.hpp"
 #include "sched/cpu_sim.hpp"
-#include "sim/parallel_runner.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -122,26 +121,6 @@ OpenPoint run_open_loop(double web_share) {
                    stats.p99() * 1e3, traffic.digest()};
 }
 
-/// Bitwise equality of two simulator results — the parallel sweep must
-/// reproduce the serial one exactly, not approximately.
-bool same_result(const sched::CpuSimResult& a, const sched::CpuSimResult& b) {
-  if (a.idle_fraction != b.idle_fraction) return false;
-  if (a.total_cpu_s != b.total_cpu_s) return false;
-  if (a.shares.size() != b.shares.size()) return false;
-  for (const auto& [uid, series] : a.shares) {
-    const auto it = b.shares.find(uid);
-    if (it == b.shares.end()) return false;
-    if (series.size() != it->second.size()) return false;
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      if (series.points()[i].time != it->second.points()[i].time ||
-          series.points()[i].value != it->second.points()[i].value) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main() {
@@ -165,27 +144,10 @@ int main() {
   // The four scheduler runs are independent replicas; each builds its own
   // quantum simulator. Run the sweep serially and through ParallelRunner and
   // require identical statistics before printing anything.
-  using Clock = std::chrono::steady_clock;
-  const auto serial_start = Clock::now();
-  std::vector<sched::CpuSimResult> serial_results;
-  for (const auto& row : rows) {
-    serial_results.push_back(run_policy(row.make(), duration));
-  }
-  const double serial_s =
-      std::chrono::duration<double>(Clock::now() - serial_start).count();
-
-  const sim::ParallelRunner runner;
-  const auto parallel_start = Clock::now();
-  const auto results = runner.map(kRows, [&](std::size_t i) {
+  const auto sweep = bench::serial_vs_parallel(kRows, [&](std::size_t i) {
     return run_policy(rows[i].make(), duration);
   });
-  const double parallel_s =
-      std::chrono::duration<double>(Clock::now() - parallel_start).count();
-
-  bool identical = true;
-  for (std::size_t i = 0; i < kRows; ++i) {
-    identical = identical && same_result(serial_results[i], results[i]);
-  }
+  const auto& results = sweep.results;
 
   print_series("(a) host OS: unmodified Linux (per-thread time sharing)",
                results[0], 30);
@@ -234,16 +196,8 @@ int main() {
     for (const char* uid : kServices) total += results[i].total_cpu_s.at(uid);
     web_shares[i] = results[i].total_cpu_s.at("svc-web") / total;
   }
-  std::vector<OpenPoint> open_serial;
-  for (std::size_t i = 0; i < kRows; ++i) {
-    open_serial.push_back(run_open_loop(web_shares[i]));
-  }
-  const auto open_parallel =
-      runner.map(kRows, [&](std::size_t i) { return run_open_loop(web_shares[i]); });
-  bool open_identical = true;
-  for (std::size_t i = 0; i < kRows; ++i) {
-    open_identical = open_identical && open_serial[i] == open_parallel[i];
-  }
+  const auto open_sweep = bench::serial_vs_parallel(
+      kRows, [&](std::size_t i) { return run_open_loop(web_shares[i]); });
 
   util::AsciiTable open_table({"Scheduler", "web share", "offered req/s",
                                "completed", "p99 (ms)"});
@@ -251,7 +205,7 @@ int main() {
                             util::Align::kRight, util::Align::kRight,
                             util::Align::kRight});
   for (std::size_t i = 0; i < kRows; ++i) {
-    const auto& point = open_serial[i];
+    const auto& point = open_sweep.results[i];
     char share[16], rate[16], p99[32];
     std::snprintf(share, sizeof share, "%.3f", web_shares[i]);
     std::snprintf(rate, sizeof rate, "%.0f", kOpenRate);
@@ -269,16 +223,17 @@ int main() {
 
   std::printf("\nparallel sweep check: %s (serial %.2fs, parallel %.2fs on "
               "%zu worker(s))\n",
-              identical && open_identical
+              sweep.identical && open_sweep.identical
                   ? "statistics identical to serial run"
                   : "MISMATCH vs serial run",
-              serial_s, parallel_s, runner.thread_count());
+              sweep.serial_s, sweep.parallel_s, sweep.threads);
   soda::bench::BenchReport report;
-  report.record("fig5_sweep", {{"points", static_cast<double>(kRows)},
-                               {"wall_s_serial", serial_s},
-                               {"wall_s_parallel", parallel_s},
-                               {"identical_to_serial", identical ? 1.0 : 0.0},
-                               {"open_loop_identical", open_identical ? 1.0 : 0.0}});
+  report.record("fig5_sweep",
+                {{"points", static_cast<double>(kRows)},
+                 {"wall_s_serial", sweep.serial_s},
+                 {"wall_s_parallel", sweep.parallel_s},
+                 {"identical_to_serial", sweep.identical ? 1.0 : 0.0},
+                 {"open_loop_identical", open_sweep.identical ? 1.0 : 0.0}});
   report.write();
-  return identical && open_identical ? 0 : 1;
+  return sweep.identical && open_sweep.identical ? 0 : 1;
 }

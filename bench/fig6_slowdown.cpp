@@ -7,11 +7,11 @@
 // The paper's observation: a visible but modest slow-down for (1), roughly
 // constant across dataset sizes — far below the ~22x syscall-level ratio of
 // Table 4.
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench_report.hpp"
+#include "harness.hpp"
 #include "net/flow_network.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_runner.hpp"
@@ -95,27 +95,10 @@ int main() {
   // The 6x3 (size x scenario) grid is 18 independent simulations — each
   // builds its own Engine and network. Fan them out over ParallelRunner and
   // require the merged grid to match a serial sweep exactly.
-  using Clock = std::chrono::steady_clock;
-  const auto serial_start = Clock::now();
-  std::vector<double> serial_grid(kCells);
-  for (std::size_t i = 0; i < kCells; ++i) {
-    serial_grid[i] = mean_rt_ms(scenarios[i % 3], sizes[i / 3]);
-  }
-  const double serial_s =
-      std::chrono::duration<double>(Clock::now() - serial_start).count();
-
-  const sim::ParallelRunner runner;
-  const auto parallel_start = Clock::now();
-  const auto grid = runner.map(kCells, [&](std::size_t i) {
+  const auto sweep = bench::serial_vs_parallel(kCells, [&](std::size_t i) {
     return mean_rt_ms(scenarios[i % 3], sizes[i / 3]);
   });
-  const double parallel_s =
-      std::chrono::duration<double>(Clock::now() - parallel_start).count();
-
-  bool identical = true;
-  for (std::size_t i = 0; i < kCells; ++i) {
-    identical = identical && serial_grid[i] == grid[i];
-  }
+  const auto& grid = sweep.results;
 
   util::AsciiTable table({"Dataset size", "VSN + switch (ms)",
                           "host + switch (ms)", "host direct (ms)",
@@ -148,7 +131,7 @@ int main() {
   dynamic_table.set_alignment({util::Align::kRight, util::Align::kRight,
                                util::Align::kRight, util::Align::kRight});
   const std::int64_t cgi_sizes[] = {4 * kKiB, 16 * kKiB, 64 * kKiB};
-  const auto cgi_grid = runner.map(6, [&](std::size_t i) {
+  const auto cgi_grid = sim::ParallelRunner().map(6, [&](std::size_t i) {
     return mean_rt_ms(scenarios[i % 2 == 0 ? 0 : 2], cgi_sizes[i / 2],
                       workload::ContentKind::kDynamic);
   });
@@ -170,14 +153,15 @@ int main() {
 
   std::printf("\nparallel sweep check: %s (serial %.2fs, parallel %.2fs on "
               "%zu worker(s))\n",
-              identical ? "statistics identical to serial run"
-                        : "MISMATCH vs serial run",
-              serial_s, parallel_s, runner.thread_count());
+              sweep.identical ? "statistics identical to serial run"
+                              : "MISMATCH vs serial run",
+              sweep.serial_s, sweep.parallel_s, sweep.threads);
   soda::bench::BenchReport report;
-  report.record("fig6_sweep", {{"points", static_cast<double>(kCells)},
-                               {"wall_s_serial", serial_s},
-                               {"wall_s_parallel", parallel_s},
-                               {"identical_to_serial", identical ? 1.0 : 0.0}});
+  report.record("fig6_sweep",
+                {{"points", static_cast<double>(kCells)},
+                 {"wall_s_serial", sweep.serial_s},
+                 {"wall_s_parallel", sweep.parallel_s},
+                 {"identical_to_serial", sweep.identical ? 1.0 : 0.0}});
   report.write();
-  return identical ? 0 : 1;
+  return sweep.identical ? 0 : 1;
 }

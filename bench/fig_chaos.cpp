@@ -16,7 +16,6 @@
 //     subset) — the oracle must stay cheap enough to leave on everywhere.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -25,7 +24,7 @@
 #include "chaos/generator.hpp"
 #include "chaos/runner.hpp"
 #include "chaos/shrink.hpp"
-#include "sim/parallel_runner.hpp"
+#include "harness.hpp"
 #include "util/log.hpp"
 
 using namespace soda;
@@ -127,29 +126,26 @@ ShrinkDemo run_shrink_demo(std::uint64_t base) {
 
 int main(int argc, char** argv) {
   util::global_logger().set_level(util::LogLevel::kOff);
-  bool ci = false;
-  std::size_t seeds = 2000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci") == 0) {
-      ci = true;
-      seeds = 256;
-    } else {
-      seeds = static_cast<std::size_t>(std::strtoull(argv[i], nullptr, 10));
-    }
-  }
+  const bench::ProgramArgs args = bench::parse_args(argc, argv, true);
+  const bool ci = args.ci;
+  const std::size_t seeds = args.seeds ? args.seeds : ci ? 256 : 2000;
 
   std::printf("chaos fuzz: %zu seeds from base %#llx%s\n", seeds,
               static_cast<unsigned long long>(kBaseSeed),
               ci ? " (ci corpus)" : "");
 
-  // --- serial sweep, checker on -------------------------------------------
-  const auto serial_start = std::chrono::steady_clock::now();
-  std::vector<chaos::ChaosReport> serial(seeds);
-  for (std::size_t i = 0; i < seeds; ++i) {
-    serial[i] = chaos::run_scenario(chaos::generate_scenario(
-        sim::replica_seed(kBaseSeed, i)));
-  }
-  const double serial_s = seconds_since(serial_start);
+  // --- the seeds serially, then through ParallelRunner, checker on -------
+  const auto sweep = bench::serial_vs_parallel(
+      seeds,
+      [](std::size_t i) {
+        return chaos::run_scenario(
+            chaos::generate_scenario(sim::replica_seed(kBaseSeed, i)));
+      },
+      [](const chaos::ChaosReport& a, const chaos::ChaosReport& b) {
+        return a.digest == b.digest;
+      });
+  const std::vector<chaos::ChaosReport>& serial = sweep.results;
+  bool identical = sweep.identical;
 
   std::size_t violations = 0;
   std::uint64_t faults = 0, requests = 0;
@@ -162,7 +158,7 @@ int main(int argc, char** argv) {
   }
   std::printf("serial: %.1f scenarios/sec, %llu faults injected, %llu "
               "requests driven, %zu violations, %zu setup errors\n",
-              static_cast<double>(seeds) / serial_s,
+              static_cast<double>(seeds) / sweep.serial_s,
               static_cast<unsigned long long>(faults),
               static_cast<unsigned long long>(requests), violations,
               setup_errors);
@@ -188,27 +184,8 @@ int main(int argc, char** argv) {
     ++reproducers;
   }
 
-  // --- the same seeds through ParallelRunner ------------------------------
-  const auto parallel_start = std::chrono::steady_clock::now();
-  const sim::ParallelRunner runner(0);
-  const std::vector<std::uint64_t> parallel_digests =
-      runner.map(seeds, [](std::size_t i) {
-        return chaos::run_scenario(chaos::generate_scenario(
-                                       sim::replica_seed(
-                                           kBaseSeed, i)))
-            .digest;
-      });
-  const double parallel_s = seconds_since(parallel_start);
-  bool identical = true;
-  for (std::size_t i = 0; i < seeds; ++i) {
-    if (serial[i].digest != parallel_digests[i]) {
-      identical = false;
-      std::printf("digest mismatch at seed index %zu\n", i);
-      break;
-    }
-  }
   std::printf("parallel: %.1f scenarios/sec, digests %s\n",
-              static_cast<double>(seeds) / parallel_s,
+              static_cast<double>(seeds) / sweep.parallel_s,
               identical ? "identical to serial" : "MISMATCH");
 
   // --- invariant-check overhead on a subset -------------------------------
@@ -250,9 +227,10 @@ int main(int argc, char** argv) {
   bench::BenchReport report("BENCH_chaos.json", "soda-chaos");
   report.record("chaos_fuzz",
                 {{"seeds", static_cast<double>(seeds)},
-                 {"scenarios_per_sec", static_cast<double>(seeds) / serial_s},
+                 {"scenarios_per_sec",
+                  static_cast<double>(seeds) / sweep.serial_s},
                  {"parallel_scenarios_per_sec",
-                  static_cast<double>(seeds) / parallel_s},
+                  static_cast<double>(seeds) / sweep.parallel_s},
                  {"faults_injected", static_cast<double>(faults)},
                  {"requests_driven", static_cast<double>(requests)},
                  {"violations", static_cast<double>(violations)},

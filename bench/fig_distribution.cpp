@@ -16,7 +16,6 @@
 // and where the bytes came from. The whole sweep runs once serially and
 // once over ParallelRunner; the merged numbers must be bit-identical, and
 // p2p must beat origin by >= 3x on the cold wave at N=8.
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -24,8 +23,8 @@
 
 #include "bench_report.hpp"
 #include "core/hup.hpp"
+#include "harness.hpp"
 #include "image/image.hpp"
-#include "sim/parallel_runner.hpp"
 #include "util/contract.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -163,26 +162,11 @@ int main() {
     for (const int n : fleet) cases.push_back({mode, n});
   }
 
-  using Clock = std::chrono::steady_clock;
-  const auto serial_start = Clock::now();
-  std::vector<DistributionResult> serial;
-  serial.reserve(cases.size());
-  for (const Case& c : cases) serial.push_back(run_replica(c.mode, c.n));
-  const double serial_s =
-      std::chrono::duration<double>(Clock::now() - serial_start).count();
-
-  const sim::ParallelRunner runner;
-  const auto parallel_start = Clock::now();
-  const auto results = runner.map(cases.size(), [&](std::size_t i) {
-    return run_replica(cases[i].mode, cases[i].n);
-  });
-  const double parallel_s =
-      std::chrono::duration<double>(Clock::now() - parallel_start).count();
-
-  bool identical = true;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    identical = identical && serial[i] == results[i];
-  }
+  const auto sweep =
+      bench::serial_vs_parallel(cases.size(), [&](std::size_t i) {
+        return run_replica(cases[i].mode, cases[i].n);
+      });
+  const auto& results = sweep.results;
 
   util::AsciiTable table({"Mode", "N", "Cold dl (s)", "Warm dl (s)",
                           "Create (s)", "Origin MiB", "Peer MiB"});
@@ -224,9 +208,9 @@ int main() {
               cache_warm_n8);
   std::printf("parallel sweep check: %s (serial %.2fs, parallel %.2fs on %zu "
               "worker(s))\n",
-              identical ? "statistics identical to serial run"
-                        : "MISMATCH vs serial run",
-              serial_s, parallel_s, runner.thread_count());
+              sweep.identical ? "statistics identical to serial run"
+                              : "MISMATCH vs serial run",
+              sweep.serial_s, sweep.parallel_s, sweep.threads);
 
   soda::bench::BenchReport report("BENCH_distribution.json",
                                   "soda-distribution");
@@ -251,9 +235,9 @@ int main() {
   report.record("distribution_check",
                 {{"speedup_n8", speedup},
                  {"warm_download_s_n8", cache_warm_n8},
-                 {"wall_s_serial", serial_s},
-                 {"wall_s_parallel", parallel_s},
-                 {"identical_to_serial", identical ? 1.0 : 0.0}});
+                 {"wall_s_serial", sweep.serial_s},
+                 {"wall_s_parallel", sweep.parallel_s},
+                 {"identical_to_serial", sweep.identical ? 1.0 : 0.0}});
   report.write();
-  return (identical && fast_enough && warm_free) ? 0 : 1;
+  return (sweep.identical && fast_enough && warm_free) ? 0 : 1;
 }

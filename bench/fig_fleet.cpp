@@ -18,10 +18,8 @@
 // full-scale numbers.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -29,10 +27,10 @@
 #include "core/agent.hpp"
 #include "core/hup.hpp"
 #include "core/master.hpp"
+#include "harness.hpp"
 #include "host/host.hpp"
 #include "image/image.hpp"
 #include "seed_planner.hpp"
-#include "sim/parallel_runner.hpp"
 #include "util/contract.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -394,10 +392,7 @@ std::string format_count(double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Scale scale = kFull;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci") == 0) scale = kCi;
-  }
+  const Scale scale = bench::parse_args(argc, argv).ci ? kCi : kFull;
   std::printf("== Fleet-scale control plane (%s: %d hosts, %d services, "
               "%llu guests) ==\n\n",
               scale.label, scale.hosts, scale.services,
@@ -405,18 +400,11 @@ int main(int argc, char** argv) {
 
   // ---- The fleet scenario: serial replicas, then the same replicas under
   // the parallel runner; every decision must be bit-identical. ----
-  std::vector<FleetRun> serial;
-  for (std::size_t r = 0; r < scale.replicas; ++r) {
-    serial.push_back(run_fleet(scale, r));
-  }
-  const sim::ParallelRunner runner(scale.replicas);
-  const auto parallel = runner.map(
-      scale.replicas, [&](std::size_t r) { return run_fleet(scale, r); });
-  bool identical = true;
-  for (std::size_t r = 0; r < scale.replicas; ++r) {
-    identical = identical && serial[r].digest == parallel[r].digest;
-  }
-  const FleetRun& fleet = serial.front();
+  const auto sweep = bench::serial_vs_parallel(
+      scale.replicas, [&](std::size_t r) { return run_fleet(scale, r); },
+      [](const FleetRun& a, const FleetRun& b) { return a.digest == b.digest; },
+      scale.replicas);
+  const FleetRun& fleet = sweep.results.front();
 
   // ---- Hot-path microbenches vs the seed layout. ----
   const PlacementBench placement = run_placement_bench(scale);
@@ -470,9 +458,9 @@ int main(int argc, char** argv) {
               "(gate 0)\n",
               heartbeat.speedup(), heartbeat.allocs_per_check);
   std::printf("parallel fleet check: %s (%zu replicas on %zu worker(s))\n",
-              identical ? "bit-identical to serial run"
-                        : "MISMATCH vs serial run",
-              scale.replicas, runner.thread_count());
+              sweep.identical ? "bit-identical to serial run"
+                              : "MISMATCH vs serial run",
+              scale.replicas, sweep.threads);
   soda::bench::BenchReport report("BENCH_fleet.json", "soda-fleet");
   report.record("fleet_ramp",
                 {{"hosts", static_cast<double>(scale.hosts)},
@@ -509,9 +497,9 @@ int main(int argc, char** argv) {
                  {"allocs_per_check", heartbeat.allocs_per_check}});
   report.record("fleet_parallel",
                 {{"replicas", static_cast<double>(scale.replicas)},
-                 {"identical_to_serial", identical ? 1.0 : 0.0}});
+                 {"identical_to_serial", sweep.identical ? 1.0 : 0.0}});
   report.write();
-  return identical && placement_fast && placement_zero_alloc &&
+  return sweep.identical && placement_fast && placement_zero_alloc &&
                  heartbeat_zero_alloc && enough_guests
              ? 0
              : 1;

@@ -16,7 +16,6 @@
 // node's image transfer), creation wall-clock, and origin bytes. The sweep
 // runs once serially and once under ParallelRunner; results must be
 // bit-identical, and cache-affinity must beat worst-fit's cold-prime time.
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -24,8 +23,8 @@
 
 #include "bench_report.hpp"
 #include "core/hup.hpp"
+#include "harness.hpp"
 #include "image/image.hpp"
-#include "sim/parallel_runner.hpp"
 #include "util/contract.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -143,25 +142,11 @@ int main() {
       core::PlacementPolicy::kFirstFit, core::PlacementPolicy::kBestFit,
       core::PlacementPolicy::kWorstFit, core::PlacementPolicy::kCacheAffinity};
 
-  using Clock = std::chrono::steady_clock;
-  const auto serial_start = Clock::now();
-  std::vector<PlacementResult> serial;
-  for (const auto policy : policies) serial.push_back(run_replica(policy));
-  const double serial_s =
-      std::chrono::duration<double>(Clock::now() - serial_start).count();
-
-  const sim::ParallelRunner runner;
-  const auto parallel_start = Clock::now();
-  const auto results = runner.map(std::size(policies), [&](std::size_t i) {
-    return run_replica(policies[i]);
-  });
-  const double parallel_s =
-      std::chrono::duration<double>(Clock::now() - parallel_start).count();
-
-  bool identical = true;
-  for (std::size_t i = 0; i < std::size(policies); ++i) {
-    identical = identical && serial[i] == results[i];
-  }
+  const auto sweep =
+      bench::serial_vs_parallel(std::size(policies), [&](std::size_t i) {
+        return run_replica(policies[i]);
+      });
+  const auto& results = sweep.results;
 
   util::AsciiTable table(
       {"Policy", "Hosts", "Cold dl (s)", "Create (s)", "Origin MiB"});
@@ -197,9 +182,9 @@ int main() {
               affinity_cold, worstfit_cold);
   std::printf("parallel sweep check: %s (serial %.2fs, parallel %.2fs on %zu "
               "worker(s))\n",
-              identical ? "statistics identical to serial run"
-                        : "MISMATCH vs serial run",
-              serial_s, parallel_s, runner.thread_count());
+              sweep.identical ? "statistics identical to serial run"
+                              : "MISMATCH vs serial run",
+              sweep.serial_s, sweep.parallel_s, sweep.threads);
 
   soda::bench::BenchReport report("BENCH_placement.json", "soda-placement");
   for (std::size_t i = 0; i < std::size(policies); ++i) {
@@ -216,9 +201,9 @@ int main() {
   report.record("placement_check",
                 {{"affinity_cold_s", affinity_cold},
                  {"worstfit_cold_s", worstfit_cold},
-                 {"wall_s_serial", serial_s},
-                 {"wall_s_parallel", parallel_s},
-                 {"identical_to_serial", identical ? 1.0 : 0.0}});
+                 {"wall_s_serial", sweep.serial_s},
+                 {"wall_s_parallel", sweep.parallel_s},
+                 {"identical_to_serial", sweep.identical ? 1.0 : 0.0}});
   report.write();
-  return (identical && affinity_wins) ? 0 : 1;
+  return (sweep.identical && affinity_wins) ? 0 : 1;
 }

@@ -13,7 +13,6 @@
 // Replicas differ only in when the crash lands. The whole sweep runs once
 // serially and once over ParallelRunner, and the merged numbers must be
 // bit-identical — fault injection is scheduled, not raced.
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -23,8 +22,8 @@
 #include "bench_report.hpp"
 #include "core/faults.hpp"
 #include "core/hup.hpp"
+#include "harness.hpp"
 #include "image/image.hpp"
-#include "sim/parallel_runner.hpp"
 #include "util/contract.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -148,24 +147,9 @@ int main() {
   const double crash_times[] = {3.0, 5.0, 7.0, 9.0};
   constexpr std::size_t kReplicas = 4;
 
-  using Clock = std::chrono::steady_clock;
-  const auto serial_start = Clock::now();
-  std::vector<RecoveryResult> serial;
-  for (const double t : crash_times) serial.push_back(run_replica(t));
-  const double serial_s =
-      std::chrono::duration<double>(Clock::now() - serial_start).count();
-
-  const sim::ParallelRunner runner;
-  const auto parallel_start = Clock::now();
-  const auto results = runner.map(
+  const auto sweep = bench::serial_vs_parallel(
       kReplicas, [&](std::size_t i) { return run_replica(crash_times[i]); });
-  const double parallel_s =
-      std::chrono::duration<double>(Clock::now() - parallel_start).count();
-
-  bool identical = true;
-  for (std::size_t i = 0; i < kReplicas; ++i) {
-    identical = identical && serial[i] == results[i];
-  }
+  const auto& results = sweep.results;
 
   util::AsciiTable table({"Crash at", "Detect (s)", "Restore (s)", "Routed",
                           "Refused", "Lost", "Recoveries", "Host back"});
@@ -198,9 +182,9 @@ int main() {
 
   std::printf("\nparallel sweep check: %s (serial %.2fs, parallel %.2fs on "
               "%zu worker(s))\n",
-              identical ? "statistics identical to serial run"
-                        : "MISMATCH vs serial run",
-              serial_s, parallel_s, runner.thread_count());
+              sweep.identical ? "statistics identical to serial run"
+                              : "MISMATCH vs serial run",
+              sweep.serial_s, sweep.parallel_s, sweep.threads);
 
   soda::bench::BenchReport report("BENCH_recovery.json", "soda-recovery");
   report.record("recovery_sweep",
@@ -208,9 +192,9 @@ int main() {
                  {"worst_detect_s", worst_detect},
                  {"worst_restore_s", worst_restore},
                  {"all_recovered", all_recovered ? 1.0 : 0.0},
-                 {"wall_s_serial", serial_s},
-                 {"wall_s_parallel", parallel_s},
-                 {"identical_to_serial", identical ? 1.0 : 0.0}});
+                 {"wall_s_serial", sweep.serial_s},
+                 {"wall_s_parallel", sweep.parallel_s},
+                 {"identical_to_serial", sweep.identical ? 1.0 : 0.0}});
   report.write();
-  return (identical && all_recovered) ? 0 : 1;
+  return (sweep.identical && all_recovered) ? 0 : 1;
 }

@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "core/agent.hpp"
 #include "core/hup.hpp"
 #include "core/master.hpp"
+#include "harness.hpp"
 #include "host/host.hpp"
 #include "image/image.hpp"
 #include "sim/parallel_runner.hpp"
@@ -301,10 +301,7 @@ BranchResult run_branch_and_diverge(const Scale& scale,
 
 int main(int argc, char** argv) {
   util::global_logger().set_level(util::LogLevel::kOff);
-  Scale scale = kFull;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ci") == 0) scale = kCi;
-  }
+  const Scale scale = bench::parse_args(argc, argv).ci ? kCi : kFull;
   std::printf("== Versioned world snapshots (%s: %d hosts, %d services, "
               "%zu chaos seeds, %zu branches) ==\n\n",
               scale.label, scale.hosts, scale.services, scale.chaos_seeds,

@@ -23,8 +23,8 @@
 #include "alloc_counter.hpp"
 #include "bench_report.hpp"
 #include "core/switch.hpp"
+#include "harness.hpp"
 #include "seed_switch.hpp"
-#include "sim/parallel_runner.hpp"
 #include "util/contract.hpp"
 #include "util/table.hpp"
 
@@ -206,20 +206,9 @@ int main() {
 
   // ---- Determinism: the full (policy x size) sweep, serial vs parallel ----
   constexpr std::size_t kCells = kPolicyCount * kSizes;
-  std::vector<RouteTrace> serial_traces;
-  for (std::size_t p = 0; p < kPolicyCount; ++p) {
-    for (std::size_t s = 0; s < kSizes; ++s) {
-      serial_traces.push_back(run_trace(p, kBackendCounts[s]));
-    }
-  }
-  const sim::ParallelRunner runner;
-  const auto parallel_traces = runner.map(kCells, [&](std::size_t i) {
+  const auto sweep = bench::serial_vs_parallel(kCells, [](std::size_t i) {
     return run_trace(i / kSizes, kBackendCounts[i % kSizes]);
   });
-  bool identical = true;
-  for (std::size_t i = 0; i < kCells; ++i) {
-    identical = identical && serial_traces[i] == parallel_traces[i];
-  }
 
   // ---- Perf: 1M routed requests per cell, new path vs seed path ----
   util::AsciiTable table({"Policy", "Backends", "routes/sec", "seed routes/sec",
@@ -280,9 +269,9 @@ int main() {
               sweep_requests / seed_seconds / 1e6, sweep_speedup, kMinSpeedup,
               min_speedup);
   std::printf("parallel sweep check: %s (%zu cells on %zu worker(s))\n",
-              identical ? "routed interleavings identical to serial run"
-                        : "MISMATCH vs serial run",
-              kCells, runner.thread_count());
+              sweep.identical ? "routed interleavings identical to serial run"
+                              : "MISMATCH vs serial run",
+              kCells, sweep.threads);
 
   report.record("switch_dataplane_sweep",
                 {{"cells", static_cast<double>(kCells)},
@@ -292,7 +281,7 @@ int main() {
                  {"speedup", sweep_speedup},
                  {"min_cell_speedup", min_speedup},
                  {"max_allocs_per_route", max_allocs},
-                 {"identical_to_serial", identical ? 1.0 : 0.0}});
+                 {"identical_to_serial", sweep.identical ? 1.0 : 0.0}});
   report.write();
-  return identical && zero_alloc && fast_enough ? 0 : 1;
+  return sweep.identical && zero_alloc && fast_enough ? 0 : 1;
 }

@@ -17,17 +17,15 @@
 //   - bounded memory: recording 1,000,000 samples into a StreamingStats
 //     performs zero heap allocations after construction + reserve
 //     (O(windows) state, never O(requests)) — counted via alloc_counter.
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "alloc_counter.hpp"
 #include "bench_report.hpp"
 #include "core/hup.hpp"
+#include "harness.hpp"
 #include "image/image.hpp"
-#include "sim/parallel_runner.hpp"
 #include "sim/streaming_stats.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -231,8 +229,7 @@ std::uint64_t streaming_alloc_count(std::uint64_t samples) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool ci = argc > 1 && std::strcmp(argv[1], "--ci") == 0;
-  const Knobs k = ci ? ci_knobs() : full_knobs();
+  const Knobs k = bench::parse_args(argc, argv).ci ? ci_knobs() : full_knobs();
   util::global_logger().set_level(util::LogLevel::kOff);
 
   std::printf("== Open-loop vs closed-loop latency on the fig4 fleet "
@@ -249,24 +246,9 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> seeds(k.replicas);
   for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 0xBEEF + i * 1001;
 
-  using Clock = std::chrono::steady_clock;
-  const auto serial_start = Clock::now();
-  std::vector<OpenResult> serial;
-  for (const auto seed : seeds) serial.push_back(run_open(k, seed));
-  const double serial_s =
-      std::chrono::duration<double>(Clock::now() - serial_start).count();
-
-  const sim::ParallelRunner runner;
-  const auto parallel_start = Clock::now();
-  const auto parallel = runner.map(
+  const auto sweep = bench::serial_vs_parallel(
       seeds.size(), [&](std::size_t i) { return run_open(k, seeds[i]); });
-  const double parallel_s =
-      std::chrono::duration<double>(Clock::now() - parallel_start).count();
-
-  bool identical = serial.size() == parallel.size();
-  for (std::size_t i = 0; identical && i < serial.size(); ++i) {
-    identical = serial[i] == parallel[i];
-  }
+  const auto& results = sweep.results;
 
   util::AsciiTable table({"Replica", "Scheduled", "Served", "Refused",
                           "p50 (ms)", "p99 (ms)", "p999 (ms)",
@@ -275,8 +257,8 @@ int main(int argc, char** argv) {
                        util::Align::kRight, util::Align::kRight,
                        util::Align::kRight, util::Align::kRight,
                        util::Align::kRight, util::Align::kRight});
-  for (std::size_t i = 0; i < parallel.size(); ++i) {
-    const OpenResult& r = parallel[i];
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const OpenResult& r = results[i];
     char p50[32], p99[32], p999[32], burst[32];
     std::snprintf(p50, sizeof p50, "%.2f", r.p50_ms);
     std::snprintf(p99, sizeof p99, "%.2f", r.p99_ms);
@@ -288,7 +270,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%s\n", table.render().c_str());
 
-  const OpenResult& open = parallel.front();
+  const OpenResult& open = results.front();
   const double ratio = closed.p99_ms > 0 ? open.p99_ms / closed.p99_ms : 0;
   const bool omission_shown = open.p99_ms >= 2.0 * closed.p99_ms;
   std::printf(
@@ -308,9 +290,9 @@ int main(int argc, char** argv) {
 
   std::printf("parallel sweep check: %s (serial %.2fs, parallel %.2fs on %zu "
               "worker(s))\n",
-              identical ? "statistics identical to serial run"
-                        : "MISMATCH vs serial run",
-              serial_s, parallel_s, runner.thread_count());
+              sweep.identical ? "statistics identical to serial run"
+                              : "MISMATCH vs serial run",
+              sweep.serial_s, sweep.parallel_s, sweep.threads);
 
   bench::BenchReport report("BENCH_traffic.json", "soda-traffic");
   report.record("traffic_open_loop",
@@ -322,9 +304,9 @@ int main(int argc, char** argv) {
                  {"p99_ms", open.p99_ms},
                  {"p999_ms", open.p999_ms},
                  {"burst_peak_p99_ms", open.burst_peak_p99_ms},
-                 {"wall_s_serial", serial_s},
-                 {"wall_s_parallel", parallel_s},
-                 {"identical_to_serial", identical ? 1.0 : 0.0}});
+                 {"wall_s_serial", sweep.serial_s},
+                 {"wall_s_parallel", sweep.parallel_s},
+                 {"identical_to_serial", sweep.identical ? 1.0 : 0.0}});
   report.record("traffic_closed_loop",
                 {{"requests", static_cast<double>(closed.completed)},
                  {"achieved_rate", closed.achieved_rate},
@@ -337,5 +319,5 @@ int main(int argc, char** argv) {
                  {"record_allocs", static_cast<double>(allocs)}});
   report.write();
 
-  return (identical && omission_shown && allocs == 0) ? 0 : 1;
+  return (sweep.identical && omission_shown && allocs == 0) ? 0 : 1;
 }

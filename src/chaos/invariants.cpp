@@ -99,7 +99,7 @@ std::vector<std::string> billing_conservation_violations(
 InvariantChecker::InvariantChecker(core::Hup& hup, Options options)
     : hup_(hup), options_(std::move(options)) {
   subscription_ = hup_.master().bus().subscribe(
-      [this](const core::ControlPlaneEvent& event) { on_event(event); });
+      [this](const core::TraceEvent& event) { on_event(event); });
 }
 
 InvariantChecker::~InvariantChecker() {
@@ -128,7 +128,7 @@ void InvariantChecker::check_routed(const core::ServiceSwitch& sw,
              std::to_string(entry.port) + " which is not a backend");
 }
 
-void InvariantChecker::on_event(const core::ControlPlaneEvent& event) {
+void InvariantChecker::on_event(const core::TraceEvent& event) {
   ++events_;
   if (event.kind == core::TraceKind::kHostDown &&
       !options_.synthetic_violation_on_host_down.empty() &&

@@ -99,7 +99,7 @@ class InvariantChecker {
   [[nodiscard]] std::size_t sweeps_run() const noexcept { return sweeps_; }
 
  private:
-  void on_event(const core::ControlPlaneEvent& event);
+  void on_event(const core::TraceEvent& event);
 
   core::Hup& hup_;
   Options options_;

@@ -130,10 +130,10 @@ void SodaAgent::service_creation(const ServiceCreationRequest& request,
     return;
   }
   if (trace_) {
-    trace_->record(engine_.now(), TraceKind::kRequestReceived, "agent",
-                   request.service_name,
-                   "creation " + request.requirement.to_string() + " by " +
-                       request.credentials.asp_id);
+    trace_->record({engine_.now(), TraceKind::kRequestReceived, "agent",
+                    request.service_name,
+                    "creation " + request.requirement.to_string() + " by " +
+                        request.credentials.asp_id});
   }
   util::global_logger().info(
       "agent", "service_creation(" + request.service_name + ", " +

@@ -1,6 +1,7 @@
 #include "core/config_file.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/contract.hpp"
 #include "util/strings.hpp"
@@ -62,25 +63,40 @@ std::string ServiceConfigFile::serialize() const {
 }
 
 Result<ServiceConfigFile> ServiceConfigFile::parse(std::string_view text) {
+  constexpr long long kMaxCapacity = std::numeric_limits<int>::max();
   ServiceConfigFile file;
+  long long total = 0;
+  int line_number = 0;
   for (const auto& raw_line : util::split(text, '\n')) {
+    ++line_number;
+    const auto fail = [&](const std::string& message) {
+      return Error{"line " + std::to_string(line_number) + ": " + message};
+    };
     const std::string_view line = util::trim(raw_line);
     if (line.empty() || line[0] == '#') continue;
     const auto fields = util::split_whitespace(line);
     if ((fields.size() != 4 && fields.size() != 5) || fields[0] != "BackEnd") {
-      return Error{"malformed config line: " + std::string(line)};
+      return fail("malformed config line: " + std::string(line));
     }
     const auto address = net::Ipv4Address::parse(fields[1]);
     const auto port = util::parse_int(fields[2]);
     const auto capacity = util::parse_int(fields[3]);
-    if (!address) return Error{"bad address: " + fields[1]};
-    if (!port || *port <= 0 || *port > 65535) return Error{"bad port: " + fields[2]};
-    if (!capacity || *capacity < 1) return Error{"bad capacity: " + fields[3]};
+    if (!address) return fail("bad address: " + fields[1]);
+    if (!port || *port <= 0 || *port > 65535) {
+      return fail("bad port: " + fields[2]);
+    }
+    if (!capacity || *capacity < 1 || *capacity > kMaxCapacity) {
+      return fail("bad capacity: " + fields[3]);
+    }
+    total += *capacity;
+    if (total > kMaxCapacity) {
+      return fail("total capacity exceeds " + std::to_string(kMaxCapacity));
+    }
     BackEndEntry entry{*address, static_cast<int>(*port),
                        static_cast<int>(*capacity),
                        fields.size() == 5 ? fields[4] : std::string()};
     if (auto status = file.add(entry); !status.ok()) {
-      return status.error();
+      return fail(status.error().message);
     }
   }
   return file;

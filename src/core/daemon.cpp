@@ -72,8 +72,8 @@ void SodaDaemon::emit(sim::SimTime at, TraceKind kind,
     bus_->publish(at, kind, "daemon@" + host_.name(), subject,
                   std::move(detail));
   } else if (trace_ != nullptr) {
-    trace_->record(at, kind, "daemon@" + host_.name(), subject,
-                   std::move(detail));
+    trace_->record({at, kind, "daemon@" + host_.name(), subject,
+                    std::move(detail)});
   }
 }
 

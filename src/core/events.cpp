@@ -36,7 +36,7 @@ std::vector<std::string> MetricsRegistry::names() const {
   return out;
 }
 
-void MetricsRegistry::observe(const ControlPlaneEvent& event) {
+void MetricsRegistry::observe(const TraceEvent& event) {
   switch (event.kind) {
     case TraceKind::kAdmitted:       increment("admissions"); break;
     case TraceKind::kRejected:       increment("rejections"); break;
@@ -71,10 +71,12 @@ void ControlPlaneBus::publish(sim::SimTime at, TraceKind kind,
                               std::string actor, std::string subject,
                               std::string detail) {
   ++published_;
-  ControlPlaneEvent event{at, kind, std::move(actor), std::move(subject),
-                          std::move(detail)};
-  if (trace_) trace_->record(event.at, event.kind, event.actor, event.subject,
-                             event.detail);
+  TraceEvent local{at, kind, std::move(actor), std::move(subject),
+                   std::move(detail)};
+  // The trace keeps the one copy. Appending to a deque never moves the
+  // elements it holds, so the reference survives nested publishes short of
+  // a whole trace capacity of them evicting it.
+  const TraceEvent& event = trace_ ? trace_->record(std::move(local)) : local;
   metrics_.observe(event);
   for (const auto& [id, subscriber] : subscribers_) subscriber(event);
 }

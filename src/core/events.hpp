@@ -1,6 +1,6 @@
 // The control-plane event bus: the observability seam of the HUP. The
 // Master's subsystems (planner admission, priming, recovery) and the
-// daemons publish typed events into one ControlPlaneBus; the TraceLog (the
+// daemons publish TraceEvents into one ControlPlaneBus; the TraceLog (the
 // operator-facing record tests assert sequences on), the MetricsRegistry
 // (named counters/gauges), and any ad-hoc subscriber (HealthMonitor, tests)
 // observe them. Publishing is synchronous and deterministic: the trace
@@ -19,15 +19,6 @@
 #include "snapshot/format.hpp"
 
 namespace soda::core {
-
-/// One typed control-plane event (the bus-level view of a TraceEvent).
-struct ControlPlaneEvent {
-  sim::SimTime at;
-  TraceKind kind;
-  std::string actor;    // "master", "daemon@seattle", "monitor", ...
-  std::string subject;  // service or node name
-  std::string detail;   // free-form specifics
-};
 
 /// Named counters and gauges fed by the bus. Counters accumulate from
 /// events (admissions, rejections, primings, failures, recoveries, ...);
@@ -55,7 +46,7 @@ class MetricsRegistry {
   [[nodiscard]] std::vector<std::string> names() const;
 
   /// Applies the standard kind -> counter mapping for one bus event.
-  void observe(const ControlPlaneEvent& event);
+  void observe(const TraceEvent& event);
 
   /// Checkpoints counters only — gauges are read-callbacks (wiring), which
   /// restore re-registers as each owning subsystem is rebuilt.
@@ -88,7 +79,7 @@ class MetricsRegistry {
 /// cheap enough to stay on everywhere, like the TraceLog it feeds.
 class ControlPlaneBus {
  public:
-  using Subscriber = std::function<void(const ControlPlaneEvent&)>;
+  using Subscriber = std::function<void(const TraceEvent&)>;
 
   /// Adds a subscriber; returns an id for unsubscribe().
   std::size_t subscribe(Subscriber subscriber);
@@ -104,7 +95,8 @@ class ControlPlaneBus {
   }
 
   /// Publishes one event: trace, then metrics, then subscribers in
-  /// subscription order.
+  /// subscription order. With a trace attached, subscribers see the event
+  /// the trace stored, so a subscriber must not clear the trace.
   void publish(sim::SimTime at, TraceKind kind, std::string actor,
                std::string subject, std::string detail = {});
 

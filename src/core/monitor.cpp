@@ -65,7 +65,7 @@ HealthMonitor::HealthMonitor(sim::Engine& engine, SodaMaster& master,
   // A passive bus tap: the monitor observes the control plane it probes
   // (host-down/up, recoveries) without polling the Master for them.
   subscription_ = master_.bus().subscribe(
-      [this](const ControlPlaneEvent&) { ++bus_events_seen_; });
+      [this](const TraceEvent&) { ++bus_events_seen_; });
 }
 
 HealthMonitor::~HealthMonitor() { master_.bus().unsubscribe(subscription_); }

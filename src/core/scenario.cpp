@@ -8,7 +8,6 @@
 #include "core/hup.hpp"
 #include "core/monitor.hpp"
 #include "image/image.hpp"
-#include "sim/parallel_runner.hpp"
 #include "util/strings.hpp"
 #include "workload/siege.hpp"
 #include "workload/traffic.hpp"
@@ -709,20 +708,6 @@ Result<std::vector<std::string>> Scenario::run() const {
     if (auto result = execute(rt, cmd); !result.ok()) return result.error();
   }
   return rt.transcript;
-}
-
-Result<std::vector<std::vector<std::string>>> Scenario::run_replicas(
-    std::size_t replicas, std::size_t threads) const {
-  const sim::ParallelRunner runner(threads);
-  auto results =
-      runner.map(replicas, [this](std::size_t) { return run(); });
-  std::vector<std::vector<std::string>> transcripts;
-  transcripts.reserve(replicas);
-  for (auto& result : results) {
-    if (!result.ok()) return result.error();
-    transcripts.push_back(std::move(result).value());
-  }
-  return transcripts;
 }
 
 }  // namespace soda::core

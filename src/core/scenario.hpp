@@ -56,15 +56,6 @@ class Scenario {
   /// the first execution/expectation error with its line number.
   Result<std::vector<std::string>> run() const;
 
-  /// Runs `replicas` independent copies of the scenario fanned out across
-  /// `threads` workers (0 = hardware concurrency) via sim::ParallelRunner.
-  /// Each replica executes against its own fresh HUP; transcripts come back
-  /// in replica order and are identical to calling run() `replicas` times
-  /// serially. On failure, the error of the lowest-indexed failing replica
-  /// is returned.
-  Result<std::vector<std::vector<std::string>>> run_replicas(
-      std::size_t replicas, std::size_t threads = 0) const;
-
   [[nodiscard]] const std::vector<ScenarioCommand>& commands() const noexcept {
     return commands_;
   }

@@ -33,14 +33,12 @@ TraceLog::TraceLog(std::size_t capacity) : capacity_(capacity) {
   SODA_EXPECTS(capacity >= 1);
 }
 
-void TraceLog::record(sim::SimTime at, TraceKind kind, std::string actor,
-                      std::string subject, std::string detail) {
+const TraceEvent& TraceLog::record(TraceEvent event) {
   if (events_.size() == capacity_) {
     events_.pop_front();
     ++dropped_;
   }
-  events_.push_back(TraceEvent{at, kind, std::move(actor), std::move(subject),
-                               std::move(detail)});
+  return events_.emplace_back(std::move(event));
 }
 
 void TraceLog::clear() {

@@ -52,8 +52,9 @@ class TraceLog {
  public:
   explicit TraceLog(std::size_t capacity = 4096);
 
-  void record(sim::SimTime at, TraceKind kind, std::string actor,
-              std::string subject, std::string detail = {});
+  /// Appends `event`, evicting the oldest at capacity; returns the stored
+  /// copy.
+  const TraceEvent& record(TraceEvent event);
 
   [[nodiscard]] const std::deque<TraceEvent>& events() const noexcept {
     return events_;

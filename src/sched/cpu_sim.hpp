@@ -41,6 +41,8 @@ struct CpuSimResult {
   std::map<std::string, double> total_cpu_s;
   /// Fraction of the run the CPU was idle.
   double idle_fraction = 0;
+
+  friend bool operator==(const CpuSimResult&, const CpuSimResult&) = default;
 };
 
 /// Drives one CPU under a scheduling policy. Deterministic given the policy.

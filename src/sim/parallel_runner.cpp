@@ -1,7 +1,5 @@
 #include "sim/parallel_runner.hpp"
 
-#include <thread>
-
 namespace soda::sim {
 
 std::uint64_t replica_seed(std::uint64_t base_seed, std::size_t index) noexcept {
@@ -18,17 +16,6 @@ ParallelRunner::ParallelRunner(std::size_t threads) : threads_(threads) {
     threads_ = std::thread::hardware_concurrency();
     if (threads_ == 0) threads_ = 1;
   }
-  if (threads_ > 1) pool_ = std::make_unique<WorkerPool>(threads_);
-}
-
-void ParallelRunner::dispatch(std::size_t n,
-                              const WorkerPool::IndexJob& job) const {
-  if (n == 0) return;
-  if (!pool_ || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) job.invoke(job.context, i);
-    return;
-  }
-  pool_->dispatch(n, job);
 }
 
 }  // namespace soda::sim

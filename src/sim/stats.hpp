@@ -84,6 +84,8 @@ class TimeSeries {
   struct Point {
     SimTime time;
     double value;
+
+    friend bool operator==(const Point&, const Point&) = default;
   };
 
   void add(SimTime time, double value) { points_.push_back({time, value}); }
@@ -107,6 +109,8 @@ class TimeSeries {
 
   /// Max |value - target| across points; convergence metric for share plots.
   [[nodiscard]] double max_abs_deviation(double target) const noexcept;
+
+  friend bool operator==(const TimeSeries&, const TimeSeries&) = default;
 
  private:
   std::vector<Point> points_;

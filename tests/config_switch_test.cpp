@@ -51,6 +51,46 @@ TEST(ConfigFile, ParseRejectsMalformedRows) {
   EXPECT_FALSE(ServiceConfigFile::parse("BackEnd 10.0.0.1 80 x\n").ok());
 }
 
+// Capacities are ints: a row that does not fit, or a file whose total would
+// pass INT_MAX, is a line-numbered error — never a truncated capacity, an
+// abort in add(), or a negative total_capacity().
+TEST(ConfigFile, ParseRejectsCapacityOverflowWithLineNumbers) {
+  const auto wide =
+      ServiceConfigFile::parse("BackEnd 10.0.0.1 80 4294967297\n");
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.error().message, "line 1: bad capacity: 4294967297");
+
+  const auto wraps =
+      ServiceConfigFile::parse("# web\nBackEnd 10.0.0.1 80 3000000000\n");
+  ASSERT_FALSE(wraps.ok());
+  EXPECT_EQ(wraps.error().message, "line 2: bad capacity: 3000000000");
+
+  const auto total = ServiceConfigFile::parse(
+      "BackEnd 10.0.0.1 80 2147483647\nBackEnd 10.0.0.2 80 2147483647\n");
+  ASSERT_FALSE(total.ok());
+  EXPECT_EQ(total.error().message,
+            "line 2: total capacity exceeds 2147483647");
+
+  const auto fits = ServiceConfigFile::parse(
+      "BackEnd 10.0.0.1 80 2147483646\nBackEnd 10.0.0.2 80 1\n");
+  ASSERT_TRUE(fits.ok());
+  EXPECT_EQ(fits.value().total_capacity(), 2147483647);
+}
+
+TEST(ConfigFile, ParseErrorsCarryTheirLineNumber) {
+  const auto malformed = ServiceConfigFile::parse(
+      "BackEnd 10.0.0.1 80 1\n\nFrontEnd 10.0.0.2 80 1\n");
+  ASSERT_FALSE(malformed.ok());
+  EXPECT_EQ(malformed.error().message,
+            "line 3: malformed config line: FrontEnd 10.0.0.2 80 1");
+
+  const auto duplicate = ServiceConfigFile::parse(
+      "BackEnd 10.0.0.1 80 1\nBackEnd 10.0.0.1 80 2\n");
+  ASSERT_FALSE(duplicate.ok());
+  EXPECT_EQ(duplicate.error().message,
+            "line 2: backend already present: 10.0.0.1:80");
+}
+
 TEST(ConfigFile, DuplicateEndpointRejected) {
   ServiceConfigFile file;
   must(file.add(BackEndEntry{kNode1, 8080, 1, {}}));

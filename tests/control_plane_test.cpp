@@ -95,7 +95,7 @@ TEST(ControlPlaneBus, PublishFeedsTraceMetricsAndSubscribers) {
   ControlPlaneBus& bus = t.hup.master().bus();
   std::vector<TraceKind> seen;
   const std::size_t id =
-      bus.subscribe([&](const ControlPlaneEvent& event) {
+      bus.subscribe([&](const TraceEvent& event) {
         seen.push_back(event.kind);
       });
 

@@ -1,8 +1,7 @@
 // Tests for the parallel experiment runner: replica-seed determinism, the
 // parallel == serial merge contract (the whole point of the design — fanning
 // replicas across threads must not change a single bit of the merged
-// output), exception propagation, the Scenario::run_replicas wiring, and the
-// reusable WorkerPool underneath.
+// output), exception propagation, and reuse of one runner across calls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,13 +11,10 @@
 #include <thread>
 #include <vector>
 
-#include "core/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
-#include "sim/worker_pool.hpp"
-#include "util/result.hpp"
 
 namespace soda::sim {
 namespace {
@@ -34,12 +30,18 @@ TEST(ReplicaSeed, DeterministicAndDistinct) {
   EXPECT_EQ(std::adjacent_find(seeds.begin(), seeds.end()), seeds.end());
 }
 
-TEST(ParallelRunner, RunVisitsEveryIndexExactlyOnce) {
+TEST(ParallelRunner, MapVisitsEveryIndexExactlyOnce) {
   ParallelRunner runner(4);
   constexpr std::size_t kJobs = 1000;
   std::vector<std::atomic<int>> visits(kJobs);
-  runner.run(kJobs, [&](std::size_t i) { ++visits[i]; });
-  for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(visits[i].load(), 1);
+  const auto indices = runner.map(kJobs, [&](std::size_t i) {
+    ++visits[i];
+    return i;
+  });
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    EXPECT_EQ(visits[i].load(), 1);
+    EXPECT_EQ(indices[i], i);
+  }
 }
 
 // One replica = one Engine + one Rng; the sum-of-samples statistic depends
@@ -76,76 +78,47 @@ TEST(ParallelRunner, OneWorkerRunsOnCallingThread) {
   ParallelRunner runner(1);
   EXPECT_EQ(runner.thread_count(), 1u);
   const auto caller = std::this_thread::get_id();
-  runner.run(4, [&](std::size_t) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
+  const auto ids =
+      runner.map(4, [](std::size_t) { return std::this_thread::get_id(); });
+  for (const auto id : ids) EXPECT_EQ(id, caller);
 }
 
 TEST(ParallelRunner, FirstExceptionPropagatesAfterDraining) {
   ParallelRunner runner(4);
   std::atomic<int> completed{0};
   try {
-    runner.run(100, [&](std::size_t i) {
+    (void)runner.map(100, [&](std::size_t i) {
       if (i == 17) throw std::runtime_error("replica 17 failed");
-      ++completed;
+      return ++completed;
     });
     FAIL() << "expected the job's exception to propagate";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "replica 17 failed");
   }
-  // The runner must have joined its workers before rethrowing: no job can
-  // still be running, so the counter is final here.
-  const int snapshot = completed.load();
-  EXPECT_EQ(snapshot, completed.load());
+  // Every other index ran and every lane joined before the rethrow.
+  EXPECT_EQ(completed.load(), 99);
 }
 
-TEST(WorkerPool, PoolRunsEveryIndexExactlyOnce) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::vector<std::atomic<int>> hits(257);
-  pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPool, PoolIsReusableAcrossDispatches) {
-  WorkerPool pool(3);
-  std::atomic<std::uint64_t> sum{0};
+TEST(ParallelRunner, RunnerIsReusableAcrossCalls) {
+  const ParallelRunner runner(3);
+  std::uint64_t sum = 0;
   for (int round = 0; round < 50; ++round) {
-    pool.run(64, [&](std::size_t i) { sum += i; });
+    for (const std::size_t i : runner.map(64, [](std::size_t i) { return i; })) {
+      sum += i;
+    }
   }
-  EXPECT_EQ(sum.load(), 50ull * (64 * 63) / 2);
+  EXPECT_EQ(sum, 50ull * (64 * 63) / 2);
 }
 
-TEST(WorkerPool, PoolPropagatesWorkerExceptions) {
-  WorkerPool pool(2);
-  EXPECT_THROW(pool.run(16,
-                        [](std::size_t i) {
-                          if (i == 7) throw std::runtime_error("boom");
-                        }),
+TEST(ParallelRunner, RunnerSurvivesAThrowingCall) {
+  const ParallelRunner runner(2);
+  EXPECT_THROW((void)runner.map(16,
+                                [](std::size_t i) {
+                                  if (i == 7) throw std::runtime_error("boom");
+                                  return i;
+                                }),
                std::runtime_error);
-  // The pool survives a failed dispatch.
-  std::atomic<int> ran{0};
-  pool.run(8, [&](std::size_t) { ++ran; });
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ScenarioRunReplicas, MatchesSerialRuns) {
-  const auto scenario = must(core::Scenario::parse(R"(
-host seattle 128.10.9.120
-host tacoma  128.10.9.140
-repo asp-repo
-asp bioinfo key-123
-publish web content-mb=8
-create web-content web n=2
-expect-services 1
-status web-content
-teardown web-content
-expect-services 0
-)"));
-  const auto serial = must(scenario.run());
-  const auto replicas = must(scenario.run_replicas(6, 3));
-  ASSERT_EQ(replicas.size(), 6u);
-  for (const auto& transcript : replicas) EXPECT_EQ(transcript, serial);
+  EXPECT_EQ(runner.map(8, [](std::size_t i) { return i; }).size(), 8u);
 }
 
 }  // namespace

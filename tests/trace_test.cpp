@@ -13,9 +13,10 @@ namespace {
 
 TEST(TraceLog, RecordsInOrder) {
   TraceLog log;
-  log.record(sim::SimTime::seconds(1), TraceKind::kAdmitted, "master", "svc");
-  log.record(sim::SimTime::seconds(2), TraceKind::kServiceRunning, "master",
-             "svc");
+  log.record(
+      {sim::SimTime::seconds(1), TraceKind::kAdmitted, "master", "svc", {}});
+  log.record({sim::SimTime::seconds(2), TraceKind::kServiceRunning, "master",
+              "svc", {}});
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log.events()[0].kind, TraceKind::kAdmitted);
   EXPECT_EQ(log.events()[1].kind, TraceKind::kServiceRunning);
@@ -25,8 +26,8 @@ TEST(TraceLog, RecordsInOrder) {
 TEST(TraceLog, BoundedWithDropAccounting) {
   TraceLog log(3);
   for (int i = 0; i < 5; ++i) {
-    log.record(sim::SimTime::seconds(i), TraceKind::kAdmitted, "m",
-               "svc" + std::to_string(i));
+    log.record({sim::SimTime::seconds(i), TraceKind::kAdmitted, "m",
+                "svc" + std::to_string(i), {}});
   }
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.dropped(), 2u);
@@ -35,9 +36,12 @@ TEST(TraceLog, BoundedWithDropAccounting) {
 
 TEST(TraceLog, SubjectFilterMatchesServiceAndItsNodes) {
   TraceLog log;
-  log.record(sim::SimTime::zero(), TraceKind::kAdmitted, "master", "web");
-  log.record(sim::SimTime::zero(), TraceKind::kNodeBooted, "daemon@s", "web/0");
-  log.record(sim::SimTime::zero(), TraceKind::kAdmitted, "master", "webby");
+  log.record(
+      {sim::SimTime::zero(), TraceKind::kAdmitted, "master", "web", {}});
+  log.record(
+      {sim::SimTime::zero(), TraceKind::kNodeBooted, "daemon@s", "web/0", {}});
+  log.record(
+      {sim::SimTime::zero(), TraceKind::kAdmitted, "master", "webby", {}});
   const auto events = log.for_subject("web");
   ASSERT_EQ(events.size(), 2u);  // "webby" must not match "web"
   EXPECT_EQ(events[1].subject, "web/0");
@@ -45,8 +49,8 @@ TEST(TraceLog, SubjectFilterMatchesServiceAndItsNodes) {
 
 TEST(TraceLog, RenderIsHumanReadable) {
   TraceLog log;
-  log.record(sim::SimTime::seconds(1.5), TraceKind::kNodeBooted,
-             "daemon@seattle", "web/0", "ip 10.0.0.1");
+  log.record({sim::SimTime::seconds(1.5), TraceKind::kNodeBooted,
+              "daemon@seattle", "web/0", "ip 10.0.0.1"});
   const std::string text = log.render();
   EXPECT_NE(text.find("t=1.500s"), std::string::npos);
   EXPECT_NE(text.find("[daemon@seattle]"), std::string::npos);
@@ -55,9 +59,9 @@ TEST(TraceLog, RenderIsHumanReadable) {
 
 TEST(TraceLog, ClearResets) {
   TraceLog log(2);
-  log.record(sim::SimTime::zero(), TraceKind::kAdmitted, "m", "s");
-  log.record(sim::SimTime::zero(), TraceKind::kAdmitted, "m", "s");
-  log.record(sim::SimTime::zero(), TraceKind::kAdmitted, "m", "s");
+  log.record({sim::SimTime::zero(), TraceKind::kAdmitted, "m", "s", {}});
+  log.record({sim::SimTime::zero(), TraceKind::kAdmitted, "m", "s", {}});
+  log.record({sim::SimTime::zero(), TraceKind::kAdmitted, "m", "s", {}});
   log.clear();
   EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(log.dropped(), 0u);
