@@ -146,7 +146,7 @@ void BM_SwitchRouteWrr(benchmark::State& state) {
   for (int i = 0; i < 8; ++i) {
     must(sw.add_backend(core::BackEndEntry{
         net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(i + 1)), 80,
-        1 + i % 3}));
+        1 + i % 3, ""}));
   }
   for (auto _ : state) {
     auto backend = sw.route();

@@ -255,13 +255,22 @@ void Hup::load_state(snapshot::Reader& reader) {
     const net::NodeId lan_node{static_cast<std::size_t>(reader.u64())};
     const net::Ipv4Address pool_start{reader.u32()};
     const auto pool_size = static_cast<std::size_t>(reader.u64());
-    HostBundle bundle;
-    bundle.uplink.first = net::LinkId{static_cast<std::size_t>(reader.u64())};
-    bundle.uplink.second = net::LinkId{static_cast<std::size_t>(reader.u64())};
-    bundle.uplink_mbps = reader.f64();
+    const net::LinkId uplink_out{static_cast<std::size_t>(reader.u64())};
+    const net::LinkId uplink_in{static_cast<std::size_t>(reader.u64())};
+    const double uplink_mbps = reader.f64();
     if (!reader.ok()) return;
-    // The LAN node, uplink links, bridge entries, and shaper shares were
-    // restored wholesale with the network — construct alongside, not into.
+    if (hosts_.count(spec.name) != 0) {
+      reader.fail("duplicate host " + spec.name);
+      return;
+    }
+    // The bundle is owned by hosts_ before its daemon is attached, so the
+    // Master never holds a daemon the Hup does not own, even when a later
+    // read fails. The LAN node, uplink links, bridge entries, and shaper
+    // shares were restored wholesale with the network — construct
+    // alongside, not into.
+    HostBundle& bundle = hosts_[spec.name];
+    bundle.uplink = {uplink_out, uplink_in};
+    bundle.uplink_mbps = uplink_mbps;
     bundle.host = std::make_unique<host::HupHost>(
         spec, lan_node, net::IpPool(pool_start, pool_size));
     bundle.shaper = std::make_unique<net::TrafficShaper>(*network_);
@@ -270,10 +279,13 @@ void Hup::load_state(snapshot::Reader& reader) {
     bundle.daemon->set_trace(trace_.get());
     bundle.host->load_state(reader);
     bundle.shaper->load_state(reader);
-    master_->attach_restored_daemon(bundle.daemon.get());
-    bundle.daemon->load_state(reader);
     if (!reader.ok()) return;
-    hosts_.emplace(spec.name, std::move(bundle));
+    if (auto attached = master_->attach_restored_daemon(bundle.daemon.get());
+        !attached.ok()) {
+      reader.fail(attached.error().message);
+      return;
+    }
+    bundle.daemon->load_state(reader);
   }
   const std::uint64_t repository_count = reader.u64();
   for (std::uint64_t i = 0; reader.ok() && i < repository_count; ++i) {

@@ -1,6 +1,7 @@
 #include "core/master.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -43,21 +44,42 @@ SodaMaster::SodaMaster(sim::Engine& engine, MasterConfig config)
   });
 }
 
+Status SodaMaster::add_pool(const SodaDaemon& daemon) {
+  const net::IpPool& pool = daemon.host().ip_pool();
+  const std::uint64_t lo = pool.first().value();
+  const std::uint64_t hi = lo + pool.capacity();
+  // Registered pools are pairwise disjoint, so the ones overlapping
+  // [lo, hi) are the last pool starting at or below lo (if it reaches past
+  // lo) and every pool starting inside the range. The error names the
+  // earliest registered of them (invalid ids compare highest).
+  HostId owner;
+  auto it = pools_.upper_bound(lo);
+  if (it != pools_.begin() && std::prev(it)->second.end > lo) {
+    owner = std::prev(it)->second.host;
+  }
+  for (auto inside = it; inside != pools_.end() && inside->first < hi;
+       ++inside) {
+    owner = std::min(owner, inside->second.host);
+  }
+  if (owner.valid()) {
+    return Error{"IP pools of " + daemons_[owner.index()]->host_name() +
+                 " and " + daemon.host_name() + " overlap"};
+  }
+  pools_.emplace_hint(
+      it, lo,
+      PoolSpan{hi, HostId{static_cast<std::uint32_t>(daemons_.size())}});
+  return {};
+}
+
 Status SodaMaster::register_daemon(SodaDaemon* daemon) {
   SODA_EXPECTS(daemon != nullptr);
   if (host_names_.contains(daemon->host_name())) {
     return Error{"duplicate host: " + daemon->host_name()};
   }
-  for (const SodaDaemon* existing : daemons_) {
-    if (!net::IpPool::disjoint(existing->host().ip_pool(),
-                               daemon->host().ip_pool())) {
-      return Error{"IP pools of " + existing->host_name() + " and " +
-                   daemon->host_name() + " overlap"};
-    }
-  }
+  if (auto added = add_pool(*daemon); !added.ok()) return added;
   // Registration order defines the dense HostId space every fleet-scale
-  // structure (down-host bitset, detector wheel, planner tie-breaks) is
-  // indexed by.
+  // structure (down-host bitset, detector wheel, placement index
+  // tie-breaks) is indexed by.
   const HostId id{host_names_.intern(daemon->host_name())};
   SODA_ENSURES(id.index() == daemons_.size());
   daemon->set_host_id(id);
@@ -70,18 +92,22 @@ Status SodaMaster::register_daemon(SodaDaemon* daemon) {
   daemon->distributor().set_directory(&directory_);
   daemon->distributor().set_registry(&chunk_registry_);
   daemon->set_bus(&bus_);
+  planner_.add_host(*daemon);
   recovery_.on_host_registered(*daemon);
   return {};
 }
 
-void SodaMaster::attach_restored_daemon(SodaDaemon* daemon) {
+Status SodaMaster::attach_restored_daemon(SodaDaemon* daemon) {
   SODA_EXPECTS(daemon != nullptr);
+  if (auto added = add_pool(*daemon); !added.ok()) return added;
   daemon->set_host_id(HostId{static_cast<std::uint32_t>(daemons_.size())});
   daemons_.push_back(daemon);
   daemon->distributor().configure(config_.distribution);
   daemon->distributor().set_directory(&directory_);
   daemon->distributor().set_registry(&chunk_registry_);
   daemon->set_bus(&bus_);
+  planner_.add_host(*daemon);
+  return {};
 }
 
 void SodaMaster::save_state(snapshot::Writer& writer) const {
@@ -131,6 +157,7 @@ void SodaMaster::load_state(snapshot::Reader& reader) {
   services_.load_state(
       reader, [this](std::string_view host) { return daemon_for(host); });
   reader.end_section();
+  planner_.rebuild();  // the down-host set changed wholesale
 }
 
 void SodaMaster::register_repository(const image::ImageRepository* repository) {
@@ -519,18 +546,18 @@ void SodaMaster::resize_service(const std::string& name, int n_new,
   }
   std::vector<Placement> new_nodes;
   if (to_add > 0) {
-    for (SodaDaemon* daemon : planner_.ordered_daemons()) {
-      if (to_add == 0) break;
+    planner_.for_each_preferred({}, [&](SodaDaemon& daemon) {
       const bool already_used = std::any_of(
           record.placements.begin(), record.placements.end(),
-          [&](const Placement& p) { return p.daemon == daemon; });
-      if (already_used) continue;
-      const int k = std::min(units_that_fit(daemon->available(), unit), to_add);
+          [&](const Placement& p) { return p.daemon == &daemon; });
+      if (already_used) return true;
+      const int k = std::min(units_that_fit(daemon.available(), unit), to_add);
       if (k >= 1) {
-        new_nodes.push_back(Placement{daemon, "", k});
+        new_nodes.push_back(Placement{&daemon, "", k, ""});
         to_add -= k;
       }
-    }
+      return to_add > 0;
+    });
   }
   if (to_add > 0) {
     must(record.lifecycle.transition(ServiceState::kRunning));
@@ -586,7 +613,8 @@ void SodaMaster::resize_service(const std::string& name, int n_new,
         SODA_ENSURES(rec != nullptr);
         const NodeDescriptor descriptor = describe_node(node, rec->listen_port);
         must(rec->service_switch->add_backend(BackEndEntry{
-            descriptor.address, descriptor.port, descriptor.capacity_units}));
+            descriptor.address, descriptor.port, descriptor.capacity_units,
+            descriptor.component}));
         rec->nodes.push_back(descriptor);
       },
       [this, name, n_new, done, batch = std::move(batch)](

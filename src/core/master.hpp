@@ -18,6 +18,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -71,7 +72,8 @@ class SodaMaster {
 
   /// Wires a host's daemon into the HUP (registration order defines
   /// first-fit order). Pool disjointness against every registered host is
-  /// enforced here — the cross-host invariant of §4.3.
+  /// enforced here — the cross-host invariant of §4.3 — in O(log hosts);
+  /// the error names the earliest-registered overlapping host.
   Status register_daemon(SodaDaemon* daemon);
 
   /// Makes a repository resolvable by name in image locations.
@@ -261,10 +263,11 @@ class SodaMaster {
   // --- Checkpoint / restore ------------------------------------------------
 
   /// Restore-time wiring: re-attaches a reconstructed daemon without the
-  /// registration side effects (no disjointness probe, no detector arming —
-  /// the detector's state is restored wholesale by load_state). Call once
-  /// per daemon, in the saved registration order, before load_state.
-  void attach_restored_daemon(SodaDaemon* daemon);
+  /// registration side effects (no name interning, no detector arming —
+  /// both are restored wholesale by load_state). Call once per daemon, in
+  /// the saved registration order, before load_state. Fails when the
+  /// daemon's IP pool overlaps an attached one (a corrupt snapshot).
+  Status attach_restored_daemon(SodaDaemon* daemon);
 
   /// The recovery subsystem's pending detector tick (checkpoint plumbing).
   [[nodiscard]] RecoveryManager& recovery() noexcept { return recovery_; }
@@ -277,7 +280,16 @@ class SodaMaster {
   void load_state(snapshot::Reader& reader);
 
  private:
+  /// One registered IP pool: [start, end) keyed by start in pools_.
+  struct PoolSpan {
+    std::uint64_t end = 0;
+    HostId host;
+  };
+
   void finish_creation(ServiceRecord& record, CreateCallback done);
+  /// Records `daemon`'s IP pool as the next HostId's, or fails when it
+  /// overlaps a registered one.
+  Status add_pool(const SodaDaemon& daemon);
 
   sim::Engine& engine_;
   MasterConfig config_;
@@ -285,6 +297,7 @@ class SodaMaster {
   InternTable host_names_;            // host name -> dense HostId
   image::RepositoryDirectory directory_;
   image::ChunkRegistry chunk_registry_;
+  std::map<std::uint64_t, PoolSpan> pools_;  // pool start -> span
   ServiceTable services_;
   HostSet down_hosts_;
   ControlPlaneBus bus_;

@@ -2,97 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/daemon.hpp"
 #include "util/contract.hpp"
 
 namespace soda::core {
-
-namespace {
-
-class FirstFitStrategy final : public PlacementStrategy {
- public:
-  [[nodiscard]] PlacementPolicy policy() const noexcept override {
-    return PlacementPolicy::kFirstFit;
-  }
-  [[nodiscard]] bool ordered_before(
-      const PlacementCandidate& a,
-      const PlacementCandidate& b) const noexcept override {
-    // Registration order is the first-fit order.
-    return a.index < b.index;
-  }
-};
-
-class BestFitStrategy final : public PlacementStrategy {
- public:
-  [[nodiscard]] PlacementPolicy policy() const noexcept override {
-    return PlacementPolicy::kBestFit;
-  }
-  [[nodiscard]] bool ordered_before(
-      const PlacementCandidate& a,
-      const PlacementCandidate& b) const noexcept override {
-    if (a.spare_cpu != b.spare_cpu) return a.spare_cpu < b.spare_cpu;
-    return a.index < b.index;
-  }
-};
-
-class WorstFitStrategy final : public PlacementStrategy {
- public:
-  [[nodiscard]] PlacementPolicy policy() const noexcept override {
-    return PlacementPolicy::kWorstFit;
-  }
-  [[nodiscard]] bool ordered_before(
-      const PlacementCandidate& a,
-      const PlacementCandidate& b) const noexcept override {
-    if (a.spare_cpu != b.spare_cpu) return a.spare_cpu > b.spare_cpu;
-    return a.index < b.index;
-  }
-};
-
-/// Prefers hosts that already hold the image's chunks in their distribution
-/// cache (the Nth creation of a popular image lands where priming is nearly
-/// free); ties break worst-fit-style on spare CPU, then registration order.
-/// Without a manifest (image unknown, distribution disabled) it degrades to
-/// worst-fit. The chunk counts land in each candidate's cached_chunks key
-/// in prepare() — one pass per host, none per comparison.
-class CacheAffinityStrategy final : public PlacementStrategy {
- public:
-  [[nodiscard]] PlacementPolicy policy() const noexcept override {
-    return PlacementPolicy::kCacheAffinity;
-  }
-  void prepare(std::vector<PlacementCandidate>& candidates,
-               const PlacementQuery& query) const override {
-    if (query.manifest == nullptr) return;
-    for (PlacementCandidate& candidate : candidates) {
-      std::uint32_t held = 0;
-      const auto& cache = candidate.daemon->distributor().cache();
-      for (const auto& chunk : query.manifest->chunks) {
-        if (cache.contains(chunk.id)) ++held;
-      }
-      candidate.cached_chunks = held;
-    }
-  }
-  [[nodiscard]] bool ordered_before(
-      const PlacementCandidate& a,
-      const PlacementCandidate& b) const noexcept override {
-    if (a.cached_chunks != b.cached_chunks) {
-      return a.cached_chunks > b.cached_chunks;
-    }
-    if (a.spare_cpu != b.spare_cpu) return a.spare_cpu > b.spare_cpu;
-    return a.index < b.index;
-  }
-};
-
-}  // namespace
-
-void PlacementStrategy::order(std::vector<PlacementCandidate>& candidates,
-                              const PlacementQuery& query) const {
-  prepare(candidates, query);
-  std::sort(candidates.begin(), candidates.end(),
-            [this](const PlacementCandidate& a, const PlacementCandidate& b) {
-              return ordered_before(a, b);
-            });
-}
 
 std::string_view placement_policy_name(PlacementPolicy policy) noexcept {
   switch (policy) {
@@ -121,35 +36,78 @@ int units_that_fit(const host::ResourceVector& avail,
   return std::max(0, static_cast<int>(k));
 }
 
-std::unique_ptr<PlacementStrategy> make_placement_strategy(
-    PlacementPolicy policy) {
-  switch (policy) {
-    case PlacementPolicy::kFirstFit:
-      return std::make_unique<FirstFitStrategy>();
-    case PlacementPolicy::kBestFit:
-      return std::make_unique<BestFitStrategy>();
-    case PlacementPolicy::kWorstFit:
-      return std::make_unique<WorstFitStrategy>();
-    case PlacementPolicy::kCacheAffinity:
-      return std::make_unique<CacheAffinityStrategy>();
-  }
-  return std::make_unique<FirstFitStrategy>();
-}
-
 PlacementPlanner::PlacementPlanner(const std::vector<SodaDaemon*>& daemons,
                                    const HostSet& down_hosts)
-    : daemons_(daemons),
-      down_hosts_(down_hosts),
-      strategy_(make_placement_strategy(PlacementPolicy::kWorstFit)) {}
+    : daemons_(daemons), down_hosts_(down_hosts) {}
+
+PlacementPlanner::~PlacementPlanner() {
+  for (std::size_t i = 0; i < where_.size(); ++i) {
+    daemons_[i]->host().set_change_hook(nullptr);
+  }
+}
 
 void PlacementPlanner::configure(PlacementPolicy policy,
                                  double slowdown_factor,
                                  int max_nodes_per_service) {
   SODA_EXPECTS(slowdown_factor >= 1.0);
   SODA_EXPECTS(max_nodes_per_service >= 1);
-  strategy_ = make_placement_strategy(policy);
+  policy_ = policy;
   slowdown_factor_ = slowdown_factor;
   max_nodes_per_service_ = max_nodes_per_service;
+  rebuild();
+}
+
+double PlacementPlanner::rank_of(HostId id) const {
+  // available() is an O(1) cached aggregate; the key is exactly the double
+  // the planner compares.
+  const double spare = daemons_[id.index()]->available().cpu_mhz;
+  switch (policy_) {
+    case PlacementPolicy::kFirstFit: return 0.0;
+    case PlacementPolicy::kBestFit: return spare;
+    case PlacementPolicy::kWorstFit:
+    case PlacementPolicy::kCacheAffinity: return -spare;
+  }
+  return 0.0;
+}
+
+void PlacementPlanner::add_host(SodaDaemon& daemon) {
+  const HostId id = daemon.host_id();
+  SODA_EXPECTS(id.index() == where_.size() &&
+               id.index() < daemons_.size() && daemons_[id.index()] == &daemon);
+  where_.push_back(index_.end());
+  daemon.host().set_change_hook([this, id] { sync_host(id); });
+  sync_host(id);
+}
+
+void PlacementPlanner::sync_host(HostId id) {
+  Index::iterator& where = where_[id.index()];
+  // Hosts the failure detector has declared dead receive no placements
+  // until their heartbeats resume: they leave the index.
+  if (down_hosts_.test(id)) {
+    if (where != index_.end()) {
+      index_.erase(where);
+      where = index_.end();
+    }
+    return;
+  }
+  const Key key{rank_of(id), id.value};
+  if (where == index_.end()) {
+    where = index_.insert(key).first;
+  } else if (where->rank != key.rank) {
+    // Re-key in place: the extracted node is reused, so a move allocates
+    // nothing.
+    auto node = index_.extract(where);
+    node.value() = key;
+    where = index_.insert(std::move(node)).position;
+  }
+}
+
+void PlacementPlanner::rebuild() {
+  index_.clear();
+  where_.assign(where_.size(), index_.end());
+  for (std::size_t i = 0; i < where_.size(); ++i) {
+    sync_host(HostId{static_cast<std::uint32_t>(i)});
+  }
 }
 
 host::ResourceVector PlacementPlanner::inflated_unit(
@@ -162,39 +120,39 @@ host::ResourceVector PlacementPlanner::inflated_unit(
   return unit;
 }
 
-void PlacementPlanner::collect_candidates(const PlacementQuery& query) const {
-  // Hosts the failure detector has declared dead receive no placements
-  // until their heartbeats resume. available() is an O(1) cached aggregate,
-  // read once per host here rather than once per comparison.
-  candidates_.clear();
-  for (SodaDaemon* daemon : daemons_) {
-    if (down_hosts_.test(daemon->host_id())) continue;
-    PlacementCandidate candidate;
-    candidate.daemon = daemon;
-    candidate.index = static_cast<std::uint32_t>(candidates_.size());
-    candidate.spare_cpu = daemon->available().cpu_mhz;
-    candidates_.push_back(candidate);
+bool PlacementPlanner::rank(const PlacementQuery& query) const {
+  if (policy_ != PlacementPolicy::kCacheAffinity || query.manifest == nullptr) {
+    return false;
   }
-  strategy_->prepare(candidates_, query);
-}
-
-void PlacementPlanner::order_candidates(const PlacementQuery& query) const {
-  collect_candidates(query);
-  std::sort(candidates_.begin(), candidates_.end(),
-            [this](const PlacementCandidate& a, const PlacementCandidate& b) {
-              return strategy_->ordered_before(a, b);
-            });
-}
-
-std::vector<SodaDaemon*> PlacementPlanner::ordered_daemons(
-    const PlacementQuery& query) const {
-  order_candidates(query);
-  std::vector<SodaDaemon*> ordered;
-  ordered.reserve(candidates_.size());
-  for (const PlacementCandidate& candidate : candidates_) {
-    ordered.push_back(candidate.daemon);
+  // Prefers hosts that already hold the image's chunks in their
+  // distribution cache (the Nth creation of a popular image lands where
+  // priming is nearly free). The index walks worst-fit order, so a stable
+  // counting sort on the chunk count alone yields (chunks descending,
+  // spare CPU descending, HostId).
+  const auto& chunks = query.manifest->chunks;
+  held_.clear();
+  slots_.assign(chunks.size() + 1, 0);
+  for (const Key& key : index_) {
+    const auto& cache = daemons_[key.host]->distributor().cache();
+    std::uint32_t held = 0;
+    for (const auto& chunk : chunks) {
+      if (cache.contains(chunk.id)) ++held;
+    }
+    held_.push_back(held);
+    ++slots_[held];
   }
-  return ordered;
+  std::size_t offset = 0;
+  for (std::size_t count = slots_.size(); count-- > 0;) {
+    const std::size_t hosts = slots_[count];
+    slots_[count] = offset;
+    offset += hosts;
+  }
+  by_chunks_.resize(held_.size());
+  std::size_t i = 0;
+  for (const Key& key : index_) {
+    by_chunks_[slots_[held_[i++]]++] = daemons_[key.host];
+  }
+  return true;
 }
 
 ApiResult<int> PlacementPlanner::plan_allocation_into(
@@ -205,35 +163,22 @@ ApiResult<int> PlacementPlanner::plan_allocation_into(
     return ApiError{ApiErrorCode::kInvalidRequest, "requirement n must be >= 1"};
   }
   const host::ResourceVector unit = inflated_unit(req.m);
-  // Lazy selection: a full sort orders all 10k hosts when a decision
-  // usually consumes two or three. Heapify is O(hosts); popping the heap
-  // yields candidates in exactly the strategy's total order (ties broken
-  // on index), so the plan is identical to the sorted path's.
-  collect_candidates(query);
-  const auto heap_after = [this](const PlacementCandidate& a,
-                                 const PlacementCandidate& b) {
-    return strategy_->ordered_before(b, a);  // max-heap on preference
-  };
-  std::make_heap(candidates_.begin(), candidates_.end(), heap_after);
-  auto heap_end = candidates_.end();
   int remaining = req.n;
   int planned = 0;
-  while (heap_end != candidates_.begin()) {
-    if (planned >= max_nodes_per_service_) break;
-    if (remaining == 0) break;
-    std::pop_heap(candidates_.begin(), heap_end, heap_after);
-    --heap_end;
-    SodaDaemon* daemon = heap_end->daemon;
+  for_each_preferred(query, [&](SodaDaemon& daemon) {
     // One node per host per service: replicas on the same host would share
     // the same failure domain and buy nothing.
-    if (daemon->serves_service(service_name)) continue;
-    const int k = std::min(units_that_fit(daemon->available(), unit), remaining);
-    if (k >= 1) {
-      out.push_back(Placement{daemon, "", k});
-      ++planned;
-      remaining -= k;
+    if (!daemon.serves_service(service_name)) {
+      const int k =
+          std::min(units_that_fit(daemon.available(), unit), remaining);
+      if (k >= 1) {
+        out.push_back(Placement{&daemon, "", k, ""});
+        ++planned;
+        remaining -= k;
+      }
     }
-  }
+    return planned < max_nodes_per_service_ && remaining > 0;
+  });
   if (remaining > 0) {
     return ApiError{ApiErrorCode::kInsufficientResources,
                     "HUP cannot satisfy " + req.to_string() + " (short by " +
@@ -259,25 +204,31 @@ ApiResult<std::vector<Placement>> PlacementPlanner::plan_components(
     const PlacementQuery& query) const {
   SODA_EXPECTS(!components.empty());
   // available() is constant while planning (nothing is reserved), so one
-  // candidate ordering serves every component; hypothetical usage
-  // accumulates per candidate in the planned_ scratch.
-  order_candidates(query);
-  planned_.clear();
-  planned_.resize(candidates_.size());
+  // ranking serves every component; hypothetical usage accumulates per
+  // chosen host.
+  const bool ranked = rank(query);
+  std::vector<std::pair<const SodaDaemon*, host::ResourceVector>> planned;
   std::vector<Placement> plan;
   for (const auto& component : components) {
     const host::ResourceVector need = inflated_unit(m).scaled(component.units);
     bool placed = false;
-    for (std::size_t i = 0; i < candidates_.size(); ++i) {
-      SodaDaemon* daemon = candidates_[i].daemon;
-      const host::ResourceVector avail = daemon->available() - planned_[i];
-      if (avail.fits(need)) {
-        plan.push_back(Placement{daemon, "", component.units, component.name});
-        planned_[i] += need;
-        placed = true;
-        break;
+    auto first_fit = [&](SodaDaemon& daemon) {
+      auto usage = std::find_if(
+          planned.begin(), planned.end(),
+          [&](const auto& entry) { return entry.first == &daemon; });
+      const host::ResourceVector avail =
+          daemon.available() -
+          (usage == planned.end() ? host::ResourceVector{} : usage->second);
+      if (!avail.fits(need)) return true;
+      plan.push_back(Placement{&daemon, "", component.units, component.name});
+      if (usage == planned.end()) {
+        usage = planned.insert(planned.end(), {&daemon, {}});
       }
-    }
+      usage->second += need;
+      placed = true;
+      return false;
+    };
+    walk(ranked, first_fit);
     if (!placed) {
       return ApiError{ApiErrorCode::kInsufficientResources,
                       "no host fits component '" + component.name + "' (" +

@@ -9,7 +9,7 @@
 namespace soda::core {
 
 RecoveryManager::RecoveryManager(sim::Engine& engine, ControlPlaneView view,
-                                 const PlacementPlanner& planner,
+                                 PlacementPlanner& planner,
                                  PrimingCoordinator& priming,
                                  ControlPlaneBus& bus)
     : engine_(engine), view_(view), planner_(planner), priming_(priming),
@@ -204,6 +204,7 @@ void RecoveryManager::handle_host_failure(SodaDaemon& daemon) {
   const HostId id = daemon.host_id();
   if (view_.down_hosts.test(id)) return;
   view_.down_hosts.set(id);
+  planner_.sync_host(id);
   const std::string& host = daemon.host_name();
   ++host_failures_;
   util::global_logger().warn("master", "host " + host + " declared dead");
@@ -259,6 +260,7 @@ void RecoveryManager::handle_host_recovery(SodaDaemon& daemon) {
   const HostId id = daemon.host_id();
   if (!view_.down_hosts.test(id)) return;
   view_.down_hosts.reset(id);
+  planner_.sync_host(id);
   if (enabled_) arm_host(id, engine_.now());
   util::global_logger().info("master",
                              "host " + daemon.host_name() + " is back");
@@ -383,18 +385,18 @@ void RecoveryManager::attempt_recovery(const std::string& service_name) {
       finish_if_restored(record);
       return;
     }
-    for (SodaDaemon* daemon : planner_.ordered_daemons()) {
-      if (missing == 0) break;
+    planner_.for_each_preferred({}, [&](SodaDaemon& daemon) {
       const bool used = std::any_of(
           record.placements.begin(), record.placements.end(),
-          [&](const Placement& p) { return p.daemon == daemon; });
-      if (used) continue;
-      const int k = std::min(units_that_fit(daemon->available(), unit), missing);
+          [&](const Placement& p) { return p.daemon == &daemon; });
+      if (used) return true;
+      const int k = std::min(units_that_fit(daemon.available(), unit), missing);
       if (k >= 1) {
-        plan.push_back(Placement{daemon, "", k});
+        plan.push_back(Placement{&daemon, "", k, ""});
         missing -= k;
       }
-    }
+      return missing > 0;
+    });
     // Whatever fits is re-created now; a later host-up retries the rest.
     if (plan.empty()) return;
   }

@@ -53,7 +53,7 @@ struct ControlPlaneView {
 class RecoveryManager {
  public:
   RecoveryManager(sim::Engine& engine, ControlPlaneView view,
-                  const PlacementPlanner& planner,
+                  PlacementPlanner& planner,
                   PrimingCoordinator& priming, ControlPlaneBus& bus);
   RecoveryManager(const RecoveryManager&) = delete;
   RecoveryManager& operator=(const RecoveryManager&) = delete;
@@ -141,7 +141,7 @@ class RecoveryManager {
 
   sim::Engine& engine_;
   ControlPlaneView view_;
-  const PlacementPlanner& planner_;
+  PlacementPlanner& planner_;  // down/up transitions re-key its index
   PrimingCoordinator& priming_;
   ControlPlaneBus& bus_;
 

@@ -85,6 +85,7 @@ Result<SliceId> HupHost::reserve(const std::string& service_name,
   }
   reserved_ += resources;
   ++live_count_;
+  changed();
   return SliceId{pack_slice(slot, slice_generations_[slot])};
 }
 
@@ -101,6 +102,7 @@ Status HupHost::release(SliceId id) {
   slice_services_[slot].clear();
   slice_resources_[slot] = ResourceVector{};
   free_slots_.push_back(static_cast<std::uint32_t>(slot));
+  changed();
   return {};
 }
 
@@ -120,6 +122,7 @@ Status HupHost::resize(SliceId id, const ResourceVector& resources) {
   }
   reserved_ += resources - slice_resources_[slot];
   slice_resources_[slot] = resources;
+  changed();
   return {};
 }
 
@@ -243,6 +246,7 @@ void HupHost::load_state(snapshot::Reader& reader) {
     proxy_.reset();
   }
   reader.end_section();
+  changed();
 }
 
 }  // namespace soda::host

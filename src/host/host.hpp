@@ -8,12 +8,13 @@
 // parallel arrays with a free list, and a SliceId encodes (slot,
 // generation) so release/resize/find are O(1) with stale handles rejected
 // by generation mismatch — never aliased to a reused slot. The reserved
-// aggregate is maintained incrementally, making available() O(1); placement
-// scans over 10k hosts read one cached vector per host instead of walking
-// every slice.
+// aggregate is maintained incrementally, making available() O(1), and a
+// change hook reports every change to it, so the placement index keyed by
+// spare CPU moves a host only when that host's reservations change.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -105,6 +106,14 @@ class HupHost {
   /// growth does not fit.
   Status resize(SliceId id, const ResourceVector& resources);
 
+  /// Called after every successful reserve, release and resize, and after
+  /// load_state: whenever available() may have changed. One hook per host
+  /// (the placement index of the Master it is registered with); an empty
+  /// function removes it.
+  void set_change_hook(std::function<void()> hook) {
+    change_hook_ = std::move(hook);
+  }
+
   [[nodiscard]] std::optional<Slice> find_slice(SliceId id) const;
   /// Live slices in slot order (materialized facade view).
   [[nodiscard]] std::vector<Slice> slices() const;
@@ -137,6 +146,9 @@ class HupHost {
  private:
   /// Slot behind a valid handle, or npos when the handle is stale/unknown.
   [[nodiscard]] std::size_t slot_of(SliceId id) const noexcept;
+  void changed() const {
+    if (change_hook_) change_hook_();
+  }
 
   HostSpec spec_;
   net::NodeId lan_node_;
@@ -156,6 +168,7 @@ class HupHost {
   std::unique_ptr<net::Bridge> bridge_;
   std::optional<net::Ipv4Address> public_address_;
   std::unique_ptr<net::ProxyTable> proxy_;
+  std::function<void()> change_hook_;
 };
 
 }  // namespace soda::host

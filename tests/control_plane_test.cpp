@@ -158,7 +158,11 @@ TEST(Placement, EqualHostsTieBreakOnRegistrationOrder) {
     EqualHosts t(4, config);
     // All four hosts are identical, so every policy degenerates to the
     // explicit tie-break: registration order.
-    const auto ordered = t.hup.master().planner().ordered_daemons();
+    std::vector<const SodaDaemon*> ordered;
+    t.hup.master().planner().for_each_preferred({}, [&](SodaDaemon& daemon) {
+      ordered.push_back(&daemon);
+      return true;
+    });
     ASSERT_EQ(ordered.size(), 4u);
     for (int i = 0; i < 4; ++i) {
       EXPECT_EQ(ordered[i]->host_name(), "host-" + std::to_string(i))

@@ -400,5 +400,32 @@ TEST(Master, OverlappingIpPoolsRejected) {
   EXPECT_FALSE(hup.master().register_daemon(&daemon).ok());
 }
 
+TEST(Master, OverlapErrorNamesTheEarliestRegisteredHost) {
+  Hup hup;
+  host::HostSpec spec = host::HostSpec::seattle();
+  spec.name = "high";
+  hup.add_host(spec, net::Ipv4Address(10, 0, 0, 100), 16);  // .100-.115
+  spec.name = "low";
+  hup.add_host(spec, net::Ipv4Address(10, 0, 0, 1), 16);    // .1-.16
+  spec.name = "far";
+  hup.add_host(spec, net::Ipv4Address(10, 0, 1, 0), 16);
+  // Touching neither neighbour: .17-.99 fits exactly between them.
+  spec.name = "between";
+  hup.add_host(spec, net::Ipv4Address(10, 0, 0, 17), 83);
+
+  // .10-.109 overlaps "low", "between" and "high"; "high" registered first
+  // even though "low" starts lower.
+  sim::Engine engine;
+  net::FlowNetwork network(engine);
+  host::HupHost wide(host::HostSpec::tacoma(), network.add_node("wide"),
+                     net::IpPool(net::Ipv4Address(10, 0, 0, 10), 100));
+  net::TrafficShaper shaper(network);
+  SodaDaemon daemon(engine, network, wide, shaper);
+  const Status status = hup.master().register_daemon(&daemon);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().message, "IP pools of high and tacoma overlap");
+  EXPECT_EQ(hup.master().daemons().size(), 4u);
+}
+
 }  // namespace
 }  // namespace soda::core

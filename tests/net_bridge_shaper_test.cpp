@@ -87,8 +87,10 @@ TEST(TokenBucket, AvailableAtPredictsWait) {
 // try_consume must not silently return false forever.
 TEST(TokenBucket, OversizedRequestViolatesContractSymmetrically) {
   TokenBucket bucket(1000, 500);
-  EXPECT_DEATH(bucket.try_consume(501, sim::SimTime::zero()), "precondition");
-  EXPECT_DEATH(bucket.available_at(501, sim::SimTime::zero()), "precondition");
+  EXPECT_DEATH((void)bucket.try_consume(501, sim::SimTime::zero()),
+               "precondition");
+  EXPECT_DEATH((void)bucket.available_at(501, sim::SimTime::zero()),
+               "precondition");
 }
 
 // Epsilon consistency: consuming `bytes` at exactly the instant
