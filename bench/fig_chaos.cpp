@@ -13,7 +13,8 @@
 //     shrunk, and the reproducer must replay the failure in <= 10 DSL
 //     lines,
 //   - invariant-checking overhead measured (checker-on vs checker-off on a
-//     subset) — the oracle must stay cheap enough to leave on everywhere.
+//     subset, repeated in interleaved pairs) — the oracle must stay cheap
+//     enough to leave on everywhere.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -25,6 +26,7 @@
 #include "chaos/runner.hpp"
 #include "chaos/shrink.hpp"
 #include "harness.hpp"
+#include "sim/stats.hpp"
 #include "util/log.hpp"
 
 using namespace soda;
@@ -189,30 +191,42 @@ int main(int argc, char** argv) {
               identical ? "identical to serial" : "MISMATCH");
 
   // --- invariant-check overhead on a subset -------------------------------
+  // One off/on pair of ~0.1 s passes is mostly scheduler noise, so the
+  // passes repeat, interleaved and alternating which goes first, and the
+  // report keeps the median per-pair overhead and its quartiles.
   const std::size_t subset = std::min<std::size_t>(seeds, 128);
+  std::vector<chaos::ChaosSpec> specs;
+  for (std::size_t i = 0; i < subset; ++i) {
+    specs.push_back(chaos::generate_scenario(sim::replica_seed(kBaseSeed, i)));
+  }
   chaos::ChaosOptions unchecked;
   unchecked.check_invariants = false;
-  const auto off_start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < subset; ++i) {
-    const chaos::ChaosReport report = chaos::run_scenario(
-        chaos::generate_scenario(
-            sim::replica_seed(kBaseSeed, i)),
-        unchecked);
-    if (report.digest != serial[i].digest) {
-      std::printf("checker-off digest mismatch at seed index %zu\n", i);
-      identical = false;
+  const auto timed_pass = [&](bool checked) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < subset; ++i) {
+      const chaos::ChaosReport report =
+          checked ? chaos::run_scenario(specs[i])
+                  : chaos::run_scenario(specs[i], unchecked);
+      if (!checked && report.digest != serial[i].digest) {
+        std::printf("checker-off digest mismatch at seed index %zu\n", i);
+        identical = false;
+      }
     }
+    return seconds_since(start);
+  };
+  constexpr int kOverheadPairs = 7;
+  sim::SampleSet overhead_pct;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    const bool on_first = pair % 2 == 1;
+    const double on_first_s = on_first ? timed_pass(true) : 0;
+    const double off_s = timed_pass(false);
+    const double on_s = on_first ? on_first_s : timed_pass(true);
+    overhead_pct.add(off_s > 0 ? (on_s / off_s - 1.0) * 100.0 : 0);
   }
-  const double off_s = seconds_since(off_start);
-  const auto on_start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < subset; ++i) {
-    (void)chaos::run_scenario(chaos::generate_scenario(
-        sim::replica_seed(kBaseSeed, i)));
-  }
-  const double on_s = seconds_since(on_start);
-  const double overhead_pct = off_s > 0 ? (on_s / off_s - 1.0) * 100.0 : 0;
-  std::printf("invariant-check overhead: %.1f%% (%zu-seed subset)\n",
-              overhead_pct, subset);
+  std::printf("invariant-check overhead: median %.1f%% [q1 %.1f%%, q3 %.1f%%] "
+              "over %d off/on pairs (%zu-seed subset)\n",
+              overhead_pct.median(), overhead_pct.quantile(0.25),
+              overhead_pct.quantile(0.75), kOverheadPairs, subset);
 
   // --- shrink demo ---------------------------------------------------------
   const ShrinkDemo demo = run_shrink_demo(kBaseSeed ^ 0xD37ULL);
@@ -236,7 +250,10 @@ int main(int argc, char** argv) {
                  {"violations", static_cast<double>(violations)},
                  {"setup_errors", static_cast<double>(setup_errors)},
                  {"identical_to_serial", identical ? 1.0 : 0.0},
-                 {"check_overhead_pct", overhead_pct}});
+                 {"check_overhead_pct", overhead_pct.median()},
+                 {"check_overhead_pct_q1", overhead_pct.quantile(0.25)},
+                 {"check_overhead_pct_q3", overhead_pct.quantile(0.75)},
+                 {"check_overhead_pairs", kOverheadPairs}});
   report.record("chaos_shrink_demo",
                 {{"shrink_demo_ok", demo.ok ? 1.0 : 0.0},
                  {"shrink_lines", static_cast<double>(demo.lines)},

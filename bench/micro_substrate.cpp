@@ -1,9 +1,9 @@
 // google-benchmark micro-benchmarks of the substrate itself: event queue
 // throughput (new slab/4-ary-heap queue vs the seed design, schedule/pop and
-// cancel-heavy), flow-network reallocation, switch routing, Master planning,
-// rootfs assembly, and the syscall cost model. These guard against
-// accidental slowdowns in the simulator that would make the paper-scale
-// experiments unpleasant to run.
+// cancel-heavy), flow-network reallocation and routing, switch routing,
+// Master planning, rootfs assembly, and the syscall cost model. These guard
+// against accidental slowdowns in the simulator that would make the
+// paper-scale experiments unpleasant to run.
 //
 // After the google-benchmark pass, main() runs a hand-timed head-to-head of
 // the two queue designs (with allocation counts from alloc_counter.cpp) and
@@ -140,6 +140,37 @@ BENCHMARK(BM_FlowNetworkReallocate)
     ->Arg(1000)
     ->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
+
+// The admission pattern on a 10k-host LAN star: each iteration attaches one
+// VM to a host (as a daemon does when it primes a node), then routes a
+// zero-byte repository->host flow and a host->repository flow (the image
+// download and its request). Items are routes; the flows drain at once.
+void BM_FlowNetworkRouteAfterAttach(benchmark::State& state) {
+  constexpr int kHosts = 10'000;
+  sim::Engine engine;
+  net::FlowNetwork network(engine);
+  const auto sw = network.add_node("lan-switch");
+  std::vector<net::NodeId> hosts;
+  for (int i = 0; i < kHosts; ++i) {
+    hosts.push_back(network.add_node("h" + std::to_string(i)));
+    network.add_duplex_link(hosts.back(), sw, 1000, sim::SimTime::zero());
+  }
+  const auto repo = network.add_node("repo");
+  network.add_duplex_link(repo, sw, 1000, sim::SimTime::zero());
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const net::NodeId host = hosts[next++ % hosts.size()];
+    network.add_duplex_link(network.add_node("vm"), host, 500,
+                            sim::SimTime::zero());
+    benchmark::DoNotOptimize(network.start_flow(repo, host, 0, [](sim::SimTime) {}));
+    benchmark::DoNotOptimize(network.start_flow(host, repo, 0, [](sim::SimTime) {}));
+    engine.run();
+  }
+  state.SetItemsProcessed(2 * static_cast<std::int64_t>(state.iterations()));
+}
+// Fixed iterations: each one grows the topology, so the node count (and a
+// whole-LAN route search's cost) does not depend on the time budget.
+BENCHMARK(BM_FlowNetworkRouteAfterAttach)->Iterations(4096);
 
 void BM_SwitchRouteWrr(benchmark::State& state) {
   core::ServiceSwitch sw("svc", net::Ipv4Address(10, 0, 0, 1), 80);
@@ -281,6 +312,12 @@ void write_sim_core_report(const CaptureReporter& captured) {
                   {{"event_queue_items_per_sec", bm_queue_churn},
                    {"seed_items_per_sec", bm_seed_churn},
                    {"speedup", bm_queue_churn / bm_seed_churn}});
+  }
+  const double bm_routes =
+      captured.items_per_sec("BM_FlowNetworkRouteAfterAttach/iterations:4096");
+  if (bm_routes > 0) {
+    report.record("flow_network_route_after_attach",
+                  {{"ns_per_route", 1e9 / bm_routes}});
   }
   const std::size_t n = 4096;
   const std::size_t reps = 250;

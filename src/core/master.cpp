@@ -474,6 +474,18 @@ void SodaMaster::resize_service(const std::string& name, int n_new,
          engine_.now());
     return;
   }
+  // A host that crashed before the detector saw it leaves placements whose
+  // node is gone; refuse the resize before touching anything.
+  for (const Placement& p : record.placements) {
+    if (p.daemon->find_node(p.node_name) != nullptr) continue;
+    must(record.lifecycle.transition(ServiceState::kRunning));
+    done(ApiError{ApiErrorCode::kInvalidRequest,
+                  "cannot resize " + name + ": node " + p.node_name +
+                      " on host " + p.daemon->host_name() +
+                      " is gone and failure detection has not handled it yet"},
+         engine_.now());
+    return;
+  }
 
   int current = 0;
   for (const Placement& p : record.placements) current += p.units;

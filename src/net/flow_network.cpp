@@ -26,11 +26,17 @@ constexpr std::uint32_t kNoMembers = UINT32_MAX;  // the link carries no flow
 // bfs_via_ markers: a node not reached yet, and the search root.
 constexpr std::uint32_t kUnseen = UINT32_MAX;
 constexpr std::uint32_t kRoot = UINT32_MAX - 1;
+
+// TreeNode::parent markers: a node with no links yet, and a tree's root.
+constexpr std::uint32_t kDetached = UINT32_MAX;
+constexpr std::uint32_t kTreeRoot = UINT32_MAX - 1;
+constexpr std::uint32_t kNoLink = UINT32_MAX;  // TreeNode::up / down unset
 }  // namespace
 
 NodeId FlowNetwork::add_node(std::string name) {
   nodes_.push_back(std::move(name));
   out_links_.emplace_back();
+  tree_.push_back({kDetached, 0, kNoLink, kNoLink});
   return NodeId{nodes_.size() - 1};
 }
 
@@ -41,12 +47,34 @@ LinkId FlowNetwork::add_link(NodeId from, NodeId to, double capacity_mbps,
   links_.push_back(Link{from, to, mbps_to_bytes_per_sec(capacity_mbps), latency});
   members_of_.push_back(kNoMembers);
   out_links_[from.value].push_back(static_cast<std::uint32_t>(links_.size() - 1));
-  // A new link can shorten any route.
-  if (!route_cache_.empty()) {
-    route_cache_.clear();
-    route_hops_.clear();
-  }
+  add_to_forest(static_cast<std::uint32_t>(links_.size() - 1));
   return LinkId{links_.size() - 1};
+}
+
+void FlowNetwork::add_to_forest(std::uint32_t link) {
+  if (!forest_) return;
+  const auto from = static_cast<std::uint32_t>(links_[link].from.value);
+  const auto to = static_cast<std::uint32_t>(links_[link].to.value);
+  if (from == to) {
+    forest_ = false;
+    return;
+  }
+  TreeNode& tail = tree_[from];
+  TreeNode& head = tree_[to];
+  if (head.parent == kDetached) {
+    // The link hangs `to` off `from`.
+    if (tail.parent == kDetached) tail.parent = kTreeRoot;
+    head = {from, tail.depth + 1, kNoLink, link};
+  } else if (tail.parent == kDetached) {
+    // The link hangs `from` off `to`.
+    tail = {to, head.depth + 1, link, kNoLink};
+  } else if (tail.parent == to && tail.up == kNoLink) {
+    tail.up = link;  // the missing direction of an existing edge
+  } else if (head.parent == from && head.down == kNoLink) {
+    head.down = link;
+  } else {
+    forest_ = false;  // a repeated direction, a cycle or two trees joined
+  }
 }
 
 std::pair<LinkId, LinkId> FlowNetwork::add_duplex_link(NodeId a, NodeId b,
@@ -84,43 +112,59 @@ const std::string& FlowNetwork::node_name(NodeId node) const {
 
 std::optional<std::span<const std::uint32_t>> FlowNetwork::route(NodeId src,
                                                                 NodeId dst) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(src.value) << 32) | dst.value;
-  if (const auto it = route_cache_.find(key); it != route_cache_.end()) {
-    return std::span<const std::uint32_t>(
-        route_hops_.data() + it->second.first, it->second.second);
+  route_hops_.clear();
+  if (src == dst) return std::span<const std::uint32_t>(route_hops_);
+  if (!forest_) return bfs_route(src, dst);
+  // Climb from both ends to the common ancestor: src's side leaves by
+  // up-links, dst's side arrives by down-links. The deeper side (src on a
+  // tie) steps, so a stepping node is never the other's ancestor and its
+  // link lies on the only path; a missing link or a root (different trees)
+  // means no path.
+  route_down_.clear();
+  auto a = static_cast<std::uint32_t>(src.value);
+  auto b = static_cast<std::uint32_t>(dst.value);
+  while (a != b) {
+    if (tree_[a].depth >= tree_[b].depth) {
+      if (tree_[a].up == kNoLink) return std::nullopt;
+      route_hops_.push_back(tree_[a].up);
+      a = tree_[a].parent;
+    } else {
+      if (tree_[b].down == kNoLink) return std::nullopt;
+      route_down_.push_back(tree_[b].down);
+      b = tree_[b].parent;
+    }
   }
-  const std::size_t offset = route_hops_.size();
-  if (src != dst) {
-    // BFS by hop count over topology links; bfs_via_ holds the link that
-    // first reached each node.
-    bfs_via_.assign(nodes_.size(), kUnseen);
-    bfs_via_[src.value] = kRoot;
-    bfs_queue_.assign(1, static_cast<std::uint32_t>(src.value));
-    bool found = false;
-    for (std::size_t head = 0; head < bfs_queue_.size() && !found; ++head) {
-      for (std::uint32_t link_idx : out_links_[bfs_queue_[head]]) {
-        const std::size_t next = links_[link_idx].to.value;
-        if (bfs_via_[next] != kUnseen) continue;
-        bfs_via_[next] = link_idx;
-        if (next == dst.value) {
-          found = true;
-          break;
-        }
-        bfs_queue_.push_back(static_cast<std::uint32_t>(next));
+  route_hops_.insert(route_hops_.end(), route_down_.rbegin(), route_down_.rend());
+  return std::span<const std::uint32_t>(route_hops_);
+}
+
+std::optional<std::span<const std::uint32_t>> FlowNetwork::bfs_route(NodeId src,
+                                                                    NodeId dst) {
+  // BFS by hop count over topology links; bfs_via_ holds the link that first
+  // reached each node.
+  bfs_via_.assign(nodes_.size(), kUnseen);
+  bfs_via_[src.value] = kRoot;
+  bfs_queue_.assign(1, static_cast<std::uint32_t>(src.value));
+  bool found = false;
+  for (std::size_t head = 0; head < bfs_queue_.size() && !found; ++head) {
+    for (std::uint32_t link_idx : out_links_[bfs_queue_[head]]) {
+      const std::size_t next = links_[link_idx].to.value;
+      if (bfs_via_[next] != kUnseen) continue;
+      bfs_via_[next] = link_idx;
+      if (next == dst.value) {
+        found = true;
+        break;
       }
+      bfs_queue_.push_back(static_cast<std::uint32_t>(next));
     }
-    if (!found) return std::nullopt;
-    for (std::size_t at = dst.value; at != src.value;
-         at = links_[bfs_via_[at]].from.value) {
-      route_hops_.push_back(bfs_via_[at]);
-    }
-    std::reverse(route_hops_.begin() + static_cast<std::ptrdiff_t>(offset),
-                 route_hops_.end());
   }
-  const auto length = static_cast<std::uint32_t>(route_hops_.size() - offset);
-  route_cache_.emplace(key, std::pair{static_cast<std::uint32_t>(offset), length});
-  return std::span<const std::uint32_t>(route_hops_.data() + offset, length);
+  if (!found) return std::nullopt;
+  for (std::size_t at = dst.value; at != src.value;
+       at = links_[bfs_via_[at]].from.value) {
+    route_hops_.push_back(bfs_via_[at]);
+  }
+  std::reverse(route_hops_.begin(), route_hops_.end());
+  return std::span<const std::uint32_t>(route_hops_);
 }
 
 FlowNetwork::Slot FlowNetwork::allocate_slot() {
@@ -456,12 +500,13 @@ void FlowNetwork::load_state(snapshot::Reader& reader) {
   links_.clear();
   out_links_.clear();
   members_of_.clear();
-  route_cache_.clear();
-  route_hops_.clear();
+  tree_.clear();
+  forest_ = true;
   const std::uint64_t node_count = reader.u64();
   for (std::uint64_t i = 0; reader.ok() && i < node_count; ++i) {
     nodes_.push_back(reader.str());
     out_links_.emplace_back();
+    tree_.push_back({kDetached, 0, kNoLink, kNoLink});
   }
   const std::uint64_t link_count = reader.u64();
   for (std::uint64_t i = 0; reader.ok() && i < link_count; ++i) {
@@ -480,6 +525,10 @@ void FlowNetwork::load_state(snapshot::Reader& reader) {
     link.latency = reader.time();
     links_.push_back(link);
     members_of_.push_back(kNoMembers);
+    // Replaying the links in their saved order rebuilds the same forest.
+    if (link.from.valid()) {
+      add_to_forest(static_cast<std::uint32_t>(links_.size() - 1));
+    }
   }
   next_flow_id_ = reader.u64();
   last_settle_ = reader.time();

@@ -12,7 +12,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -106,8 +105,10 @@ class FlowNetwork {
   /// and capacities changed since construction) and counters. The world must
   /// be quiesced: in-flight flows hold completion closures that cannot be
   /// externalized, so save_state requires active_flows() == 0. LinkId and
-  /// NodeId values are preserved exactly — routing breaks hop-count ties by
-  /// link id, so isomorphic-but-renumbered topologies could pick other paths.
+  /// NodeId values are preserved exactly — the BFS fallback breaks hop-count
+  /// ties by link id, so isomorphic-but-renumbered topologies could pick
+  /// other paths. The routing forest is not saved: load_state rebuilds it by
+  /// replaying the links in their saved order.
   void save_state(snapshot::Writer& writer) const;
   void load_state(snapshot::Reader& reader);
 
@@ -137,9 +138,22 @@ class FlowNetwork {
     double residual;        // capacity minus frozen members' rates
   };
 
-  /// Shortest-hop route using topology links only, cached per (src, dst);
-  /// nullopt when unreachable. The span is valid until the next call.
+  /// Shortest-hop route using topology links only; nullopt when
+  /// unreachable. The span is valid until the next call. While the topology
+  /// is a forest (see add_to_forest) the route climbs both ends to their
+  /// common ancestor in O(path depth); otherwise bfs_route serves it. In a
+  /// forest at most one simple directed path joins two nodes, and BFS
+  /// returns a simple path, so both give the same links.
   std::optional<std::span<const std::uint32_t>> route(NodeId src, NodeId dst);
+  /// route() by breadth-first search over the whole topology; src != dst.
+  std::optional<std::span<const std::uint32_t>> bfs_route(NodeId src,
+                                                          NodeId dst);
+  /// Classifies topology link `link` into the forest: a link to or from a
+  /// node with no links yet hangs that node off the other end; the reverse
+  /// direction of such an edge fills its missing half. Anything else (a
+  /// self-loop, a repeated direction, a cycle, two trees joined) clears
+  /// forest_ for good.
+  void add_to_forest(std::uint32_t link);
   /// The live slot of `flow` in order_, or order_.end().
   std::vector<Slot>::const_iterator find_live(FlowId flow) const;
   Slot allocate_slot();
@@ -184,12 +198,9 @@ class FlowNetwork {
   std::vector<Slot> free_slots_;
   std::vector<Slot> order_;  // live slots in start order (ascending FlowId)
 
-  // (src << 32 | dst) -> {offset, length} into route_hops_.
-  std::unordered_map<std::uint64_t, std::pair<std::uint32_t, std::uint32_t>>
-      route_cache_;
-  std::vector<std::uint32_t> route_hops_;
-
   // Scratch reused across calls.
+  std::vector<std::uint32_t> route_hops_;  // the span route() returns
+  std::vector<std::uint32_t> route_down_;  // dst's side of a forest route
   std::vector<RoundLink> round_;
   std::vector<Slot> done_;
   std::vector<std::uint32_t> touched_;
@@ -201,6 +212,18 @@ class FlowNetwork {
   sim::EventId pending_event_{};
   bool event_scheduled_ = false;
   std::int64_t bytes_delivered_ = 0;
+
+  // Each node's place in the topology forest; read only by route(). Roots
+  // and nodes with no links have no parent, and up / down stay unset until
+  // a link in that direction arrives.
+  struct TreeNode {
+    std::uint32_t parent;  // node index, kTreeRoot or kDetached
+    std::uint32_t depth;   // 0 at a root
+    std::uint32_t up;      // link node -> parent
+    std::uint32_t down;    // link parent -> node
+  };
+  std::vector<TreeNode> tree_;  // per node
+  bool forest_ = true;          // every topology link so far fits the forest
 };
 
 /// Convenience: bits-per-second from Mbps.

@@ -356,6 +356,24 @@ TEST(Master, ResizeUpdatesShaperBandwidth) {
   EXPECT_NEAR(t.hup.find_shaper(host_name)->limit_mbps(address).value(), 20, 1e-9);
 }
 
+TEST(Master, ResizeRefusedWhileACrashedNodeIsUndetected) {
+  Testbed t;
+  must(t.create("web", 3, fig2_unit()));  // 2 on seattle + 1 on tacoma
+  t.hup.crash_host("tacoma");  // no detection: the placement outlives web/1
+  for (const int n_new : {1, 4}) {  // shrink sheds web/1; grow extends it
+    const auto reply = t.resize("web", n_new);
+    ASSERT_FALSE(reply.ok()) << n_new;
+    EXPECT_EQ(reply.error().code, ApiErrorCode::kInvalidRequest);
+    EXPECT_NE(reply.error().message.find("web/1"), std::string::npos);
+    EXPECT_NE(reply.error().message.find("tacoma"), std::string::npos);
+    const ServiceRecord* record = t.hup.master().find_service("web");
+    EXPECT_EQ(record->lifecycle.state(), ServiceState::kRunning);
+    EXPECT_EQ(record->requirement.n, 3);
+    EXPECT_EQ(record->placements.size(), 2u);
+    EXPECT_EQ(t.hup.master().find_switch("web")->backends().size(), 2u);
+  }
+}
+
 // ---------- Lifecycle guard ----------
 
 TEST(ServiceLifecycle, LegalPathToGone) {

@@ -2,8 +2,11 @@
 // per-flow caps (traffic shaping), routing, and dynamic capacity changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <optional>
 
 #include "net/flow_network.hpp"
 #include "sim/engine.hpp"
@@ -291,7 +294,7 @@ TEST(FlowNetwork, LinkCapacityQuery) {
   EXPECT_NEAR(network.link_capacity_mbps(ba), 37.5, 1e-9);
 }
 
-TEST(FlowNetwork, RouteCacheSeesNewShorterLink) {
+TEST(FlowNetwork, NewShorterLinkTakesOverTheRoute) {
   sim::Engine engine;
   FlowNetwork network(engine);
   const NodeId a = network.add_node("a");
@@ -303,7 +306,7 @@ TEST(FlowNetwork, RouteCacheSeesNewShorterLink) {
   must(network.start_flow(a, b, 0, [&](sim::SimTime t) { first = t.to_seconds(); }));
   engine.run();
   EXPECT_NEAR(first, 0.020, 1e-9);  // two hops of 10 ms
-  // A direct link is one hop: the cached two-hop route must not be reused.
+  // A direct link closes a cycle and is one hop: routing must switch to it.
   network.add_link(a, b, 100, sim::SimTime::milliseconds(1));
   const double start = engine.now().to_seconds();
   must(network.start_flow(a, b, 0, [&](sim::SimTime t) { second = t.to_seconds(); }));
@@ -432,6 +435,177 @@ TEST(FlowNetwork, RandomOperationSequencesArePinnedBitForBit) {
     combined = combined * 31 + fuzz.hash;
   }
   EXPECT_EQ(combined, 0x946e161f3d9eb8c8ULL) << std::hex << combined;
+}
+
+// Route property test: seeded random topologies grown link by link, checked
+// after every operation against a reference BFS over all ordered node pairs.
+// Link i has latency 2^i ns, so a zero-byte flow completes after exactly the
+// sum of its route's link bits: the completion time is the route's link set.
+// Trees grow by pendant attachments (duplex in either order, or one way, with
+// the missing direction sometimes added later); rarer operations add a
+// duplicate link, a shortcut (possibly a self-loop, a cycle or a merge of two
+// trees), a 3-switch mesh, or round-trip the network through a snapshot into
+// a fresh one.
+class RouteWorld {
+ public:
+  explicit RouteWorld(std::uint64_t seed) : rng_(seed) { add_node(); }
+
+  [[nodiscard]] bool full() const { return links_.size() + 8 > kMaxLinks; }
+
+  void step() {
+    const std::int64_t kind = rng_.uniform_int(0, 99);
+    if (kind < 30) {
+      const std::size_t parent = pick();
+      const std::size_t child = add_node();
+      if (rng_.bernoulli(0.5)) {
+        add_link(parent, child);
+        add_link(child, parent);
+      } else {
+        add_link(child, parent);
+        add_link(parent, child);
+      }
+    } else if (kind < 42) {
+      const std::size_t parent = pick();
+      const std::size_t child = add_node();
+      if (rng_.bernoulli(0.5)) {
+        add_link(parent, child);
+      } else {
+        add_link(child, parent);
+      }
+    } else if (kind < 54) {
+      std::vector<std::size_t> one_way;
+      for (std::size_t id = 0; id < links_.size(); ++id) {
+        if (!has_link(links_[id].to, links_[id].from)) one_way.push_back(id);
+      }
+      if (!one_way.empty()) {
+        const Link link = links_[one_way[pick_below(one_way.size())]];
+        add_link(link.to, link.from);
+      }
+    } else if (kind < 64) {
+      add_node();
+    } else if (kind < 76) {
+      round_trip();
+    } else if (kind < 78) {
+      const Link link = links_.empty() ? Link{pick(), pick()}
+                                       : links_[pick_below(links_.size())];
+      add_link(link.from, link.to);
+    } else if (kind < 81) {
+      add_link(pick(), pick());
+    } else if (kind < 82) {
+      const std::size_t anchor = pick();
+      const std::size_t s1 = add_node();
+      const std::size_t s2 = add_node();
+      const std::size_t s3 = add_node();
+      for (const auto& [a, b] : {std::pair{anchor, s1}, std::pair{s1, s2},
+                                 std::pair{s2, s3}, std::pair{s3, s1}}) {
+        add_link(a, b);
+        add_link(b, a);
+      }
+    }
+  }
+
+  /// Every ordered pair routes exactly like the reference BFS.
+  void check_all_pairs(const std::string& where) {
+    for (std::size_t src = 0; src < nodes_; ++src) {
+      for (std::size_t dst = 0; dst < nodes_; ++dst) {
+        ASSERT_EQ(routed(src, dst), reference(src, dst))
+            << where << ": route " << src << " -> " << dst;
+      }
+    }
+  }
+
+ private:
+  static constexpr std::size_t kMaxLinks = 40;  // keeps 2^i ns sums far from overflow
+
+  struct Link {
+    std::size_t from, to;
+  };
+
+  std::size_t add_node() {
+    network_->add_node("n" + std::to_string(nodes_));
+    return nodes_++;
+  }
+  std::size_t pick_below(std::size_t n) {
+    return static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  }
+  std::size_t pick() { return pick_below(nodes_); }
+  [[nodiscard]] bool has_link(std::size_t from, std::size_t to) const {
+    return std::any_of(links_.begin(), links_.end(), [&](const Link& link) {
+      return link.from == from && link.to == to;
+    });
+  }
+  void add_link(std::size_t from, std::size_t to) {
+    const LinkId id = network_->add_link(
+        NodeId{from}, NodeId{to}, 100,
+        sim::SimTime::nanoseconds(std::int64_t{1} << links_.size()));
+    EXPECT_EQ(id.value, links_.size());
+    links_.push_back({from, to});
+  }
+
+  /// The link bits of a first-found shortest-hop path, scanning each node's
+  /// out-links in id order; nullopt when dst is unreachable.
+  [[nodiscard]] std::optional<std::uint64_t> reference(std::size_t src,
+                                                       std::size_t dst) const {
+    constexpr std::size_t kUnseen = SIZE_MAX;
+    std::vector<std::size_t> via(nodes_, kUnseen);
+    std::vector<std::size_t> queue{src};
+    via[src] = links_.size();
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (std::size_t id = 0; id < links_.size(); ++id) {
+        if (links_[id].from != queue[head] || via[links_[id].to] != kUnseen) continue;
+        via[links_[id].to] = id;
+        queue.push_back(links_[id].to);
+      }
+    }
+    if (via[dst] == kUnseen) return std::nullopt;
+    std::uint64_t bits = 0;
+    for (std::size_t at = dst; at != src; at = links_[via[at]].from) {
+      bits |= std::uint64_t{1} << via[at];
+    }
+    return bits;
+  }
+
+  /// The link bits of the network's route, read off a zero-byte flow.
+  std::optional<std::uint64_t> routed(std::size_t src, std::size_t dst) {
+    const sim::SimTime start = engine_.now();
+    std::optional<std::uint64_t> bits;
+    auto flow = network_->start_flow(NodeId{src}, NodeId{dst}, 0, [&](sim::SimTime at) {
+      bits = static_cast<std::uint64_t>((at - start).ns());
+    });
+    if (!flow.ok()) return std::nullopt;
+    engine_.run();
+    EXPECT_TRUE(bits.has_value());
+    return bits;
+  }
+
+  void round_trip() {
+    snapshot::Writer writer;
+    network_->save_state(writer);
+    const std::string bytes = writer.finish();
+    snapshot::Reader reader(bytes);
+    network_ = std::make_unique<FlowNetwork>(engine_);
+    network_->load_state(reader);
+    ASSERT_TRUE(reader.ok()) << reader.error();
+  }
+
+  sim::Engine engine_;
+  std::unique_ptr<FlowNetwork> network_ = std::make_unique<FlowNetwork>(engine_);
+  sim::Rng rng_;
+  std::size_t nodes_ = 0;
+  std::vector<Link> links_;  // by link id
+};
+
+TEST(FlowNetwork, RoutesMatchAReferenceBfsOverRandomTopologies) {
+  for (std::uint64_t seed = 0; seed < 150; ++seed) {
+    RouteWorld world(0x5017E + seed);
+    world.check_all_pairs("seed " + std::to_string(seed) + " start");
+    for (int op = 0; !world.full(); ++op) {
+      world.step();
+      world.check_all_pairs("seed " + std::to_string(seed) + " op " +
+                            std::to_string(op));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

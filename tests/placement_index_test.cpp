@@ -332,8 +332,8 @@ void check_world(const World& world, const std::string& where) {
 }
 
 /// True when a host carrying `record` crashed (and maybe rebooted) without
-/// the detector noticing: the placement outlives its node, and resizing it
-/// aborts on the missing node.
+/// the detector noticing: the placement outlives its node, and the master
+/// refuses to resize the service.
 bool outlives_its_node(const ServiceRecord& record) {
   return std::any_of(record.placements.begin(), record.placements.end(),
                      [](const Placement& p) {
@@ -457,10 +457,10 @@ void run_sequence(std::uint64_t seed) {
             world->services[a % world->services.size()];
         const ServiceRecord* record = master.find_service(name);
         if (record == nullptr ||
-            record->lifecycle.state() != ServiceState::kRunning ||
-            outlives_its_node(*record)) {
+            record->lifecycle.state() != ServiceState::kRunning) {
           continue;
         }
+        const bool orphaned = outlives_its_node(*record);
         const int n_new = 1 + static_cast<int>(b % 5);
         int current = 0;
         for (const Placement& p : record->placements) current += p.units;
@@ -474,6 +474,12 @@ void run_sequence(std::uint64_t seed) {
               if (!reply.ok()) error = reply.error().code;
             });
         world->hup->engine().run();
+        if (orphaned) {
+          // Refused before anything moves; the service keeps running.
+          EXPECT_EQ(error, ApiErrorCode::kInvalidRequest) << name;
+          EXPECT_EQ(record->lifecycle.state(), ServiceState::kRunning) << name;
+          continue;
+        }
         if (n_new <= current) continue;
         if (!expected) {
           EXPECT_EQ(error, ApiErrorCode::kInsufficientResources) << name;
