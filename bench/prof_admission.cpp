@@ -1,9 +1,9 @@
 // Decomposition of the admission-path allocation count: runs the fig_fleet
 // ramp admission under ablations (node count, image size, rootfs
-// customization) and prints allocs/admission for each, plus a per-call
-// breakdown of the rootfs pipeline, so future shaves target the dominant
-// term instead of a guess. fig_fleet records the headline number; this tool
-// explains it.
+// customization) and prints allocs/admission for each, plus how often the
+// world's shared guest-rootfs cache built a tree versus handed out one it
+// already had, so future shaves target the dominant term instead of a
+// guess. fig_fleet records the headline number; this tool explains it.
 #include <cstdio>
 #include <string>
 
@@ -13,7 +13,6 @@
 #include "core/master.hpp"
 #include "host/host.hpp"
 #include "image/image.hpp"
-#include "os/rootfs.hpp"
 #include "util/log.hpp"
 
 using namespace soda;
@@ -29,7 +28,8 @@ host::MachineConfig fleet_unit() {
   return m;
 }
 
-double measure(int units, std::int64_t image_bytes, bool customize) {
+void measure(const char* label, int units, std::int64_t image_bytes,
+             bool customize) {
   util::global_logger().set_level(util::LogLevel::kOff);
   core::MasterConfig config;
   config.placement = core::PlacementPolicy::kWorstFit;
@@ -48,9 +48,9 @@ double measure(int units, std::int64_t image_bytes, bool customize) {
   const auto location = must(repo.publish(image::web_content_image(image_bytes)));
 
   constexpr int kAdmissions = 40;
-  // Warm 10 admissions so one-time table growth stays out of the number.
+  // Warm 10 admissions so one-time table growth (and the one tree build per
+  // image) stays out of the number.
   std::uint64_t before = 0;
-  double out = 0;
   for (int s = 0; s < kAdmissions + 10; ++s) {
     if (s == 10) before = bench::allocation_count();
     core::ServiceCreationRequest request;
@@ -62,54 +62,21 @@ double measure(int units, std::int64_t image_bytes, bool customize) {
         request, [](auto reply, sim::SimTime) { must(std::move(reply)); });
     hup.engine().run();
   }
-  out = static_cast<double>(bench::allocation_count() - before) / kAdmissions;
-  return out;
+  const double allocs =
+      static_cast<double>(bench::allocation_count() - before) / kAdmissions;
+  const core::GuestRootFsCache& trees = hup.master().guest_rootfs();
+  std::printf("%-42s %8.1f   %4llu build(s) %5llu hit(s)\n", label, allocs,
+              static_cast<unsigned long long>(trees.builds()),
+              static_cast<unsigned long long>(trees.hits()));
 }
 
 }  // namespace
 
-double sub(const char* label, std::uint64_t before) {
-  const double d = static_cast<double>(bench::allocation_count() - before);
-  std::printf("  %-28s %8.1f\n", label, d / 16);
-  return d;
-}
-
-void rootfs_breakdown() {
-  const image::ServiceImage img = image::web_content_image(1 << 20);
-  std::uint64_t b = bench::allocation_count();
-  os::RootFs built;
-  for (int i = 0; i < 16; ++i) built = os::build_rootfs(img.rootfs_template);
-  sub("build_rootfs", b);
-  b = bench::allocation_count();
-  os::RootFs customized;
-  for (int i = 0; i < 16; ++i) {
-    customized = must(os::customize_rootfs(built, img.required_services));
-  }
-  sub("customize_rootfs", b);
-  b = bench::allocation_count();
-  for (int i = 0; i < 16; ++i) {
-    os::FileSystem copy = customized.fs;
-    (void)copy;
-  }
-  sub("fs deep copy", b);
-  b = bench::allocation_count();
-  for (int i = 0; i < 16; ++i) {
-    os::FileSystem copy = customized.fs;
-    must(copy.copy_from(img.payload, "/", "/"));
-  }
-  sub("fs copy + payload merge", b);
-}
-
 int main() {
-  std::printf("baseline  (2 nodes, 1MiB, customize): %8.1f\n",
-              measure(2, 1 << 20, true));
-  std::printf("1 node    (1 node,  1MiB, customize): %8.1f\n",
-              measure(1, 1 << 20, true));
-  std::printf("small img (2 nodes, 64KiB, customize): %7.1f\n",
-              measure(2, 64 << 10, true));
-  std::printf("no rootfs (2 nodes, 1MiB, raw):       %8.1f\n",
-              measure(2, 1 << 20, false));
-  std::printf("per-call breakdown (16 reps):\n");
-  rootfs_breakdown();
+  std::printf("%-42s %8s   guest rootfs cache\n", "", "allocs/admission");
+  measure("baseline  (2 nodes, 1MiB, customize):", 2, 1 << 20, true);
+  measure("1 node    (1 node,  1MiB, customize):", 1, 1 << 20, true);
+  measure("small img (2 nodes, 64KiB, customize):", 2, 64 << 10, true);
+  measure("no rootfs (2 nodes, 1MiB, raw):", 2, 1 << 20, false);
   return 0;
 }

@@ -11,6 +11,7 @@
 // The final column is the ablation called out in DESIGN.md: boot time on
 // seattle *without* rootfs customization.
 #include <cstdio>
+#include <memory>
 
 #include "image/image.hpp"
 #include "os/rootfs.hpp"
@@ -28,14 +29,12 @@ struct Case {
   bool customize;
 };
 
-/// The SODA Daemon's rootfs pipeline, minus downloading.
-os::RootFs prepare_rootfs(const image::ServiceImage& image, bool customize) {
-  os::RootFs rootfs = os::build_rootfs(image.rootfs_template);
-  if (customize) {
-    rootfs = must(os::customize_rootfs(rootfs, image.required_services));
-  }
-  must(rootfs.fs.copy_from(image.payload, "/", "/"));
-  return rootfs;
+/// The guest rootfs exactly as the SODA Daemon primes it, minus downloading.
+std::shared_ptr<const os::RootFs> prepare_rootfs(
+    const image::ServiceImage& image, bool customize) {
+  return std::make_shared<const os::RootFs>(
+      must(os::build_guest_rootfs(image.rootfs_template, customize,
+                                  image.required_services, image.payload)));
 }
 
 sim::SimTime bootstrap_time(const image::ServiceImage& image, bool customize,
@@ -75,10 +74,10 @@ int main() {
                        util::Align::kRight, util::Align::kRight});
 
   for (const auto& c : cases) {
-    const os::RootFs rootfs = prepare_rootfs(c.image, c.customize);
+    const auto rootfs = prepare_rootfs(c.image, c.customize);
     table.add_row(
         {c.label, os::rootfs_template_name(c.image.rootfs_template),
-         util::format_bytes(rootfs.image_bytes()),
+         util::format_bytes(rootfs->image_bytes()),
          util::format_seconds(bootstrap_time(c.image, c.customize, seattle)
                                   .to_seconds()),
          util::format_seconds(bootstrap_time(c.image, c.customize, tacoma)

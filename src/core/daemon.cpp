@@ -132,7 +132,7 @@ void SodaDaemon::prime_node(PrimeCommand command, PrimeCallback done) {
       repository, location,
       [this, command = std::move(command), slice = slice.value(),
        download_started,
-       done = std::move(done)](Result<image::ServiceImage> image,
+       done = std::move(done)](Result<image::ImagePtr> image,
                                sim::SimTime now) mutable {
         if (!alive_) {
           // crash_host() already released the slice with the rest of the
@@ -147,14 +147,14 @@ void SodaDaemon::prime_node(PrimeCommand command, PrimeCallback done) {
           return;
         }
         emit(now, TraceKind::kImageDownloaded, command.node_name,
-             std::to_string(image.value().packaged_bytes()) + " bytes");
+             std::to_string(image.value()->packaged_bytes()) + " bytes");
         continue_priming(std::move(command), std::move(image).value(), slice,
                          download_started, now, std::move(done));
       });
 }
 
 void SodaDaemon::continue_priming(PrimeCommand command,
-                                  image::ServiceImage image,
+                                  image::ImagePtr image_ptr,
                                   host::SliceId slice,
                                   sim::SimTime download_started,
                                   sim::SimTime downloaded_at,
@@ -164,6 +164,7 @@ void SodaDaemon::continue_priming(PrimeCommand command,
     must(host_.release(slice));
     done(Error{std::move(message)}, engine_.now());
   };
+  const image::ServiceImage& image = *image_ptr;
 
   // Effective application parameters: the component's when this node runs
   // one component of a partitioned service, the image's otherwise.
@@ -180,34 +181,27 @@ void SodaDaemon::continue_priming(PrimeCommand command,
   const int listen_port =
       command.component ? command.component->listen_port : command.listen_port;
 
-  // 3. Build the guest root filesystem: template, optional tailoring, then
-  //    merge the application image into the root (the service image is part
-  //    of the root file system, §4.3). The built (and customized) template
-  //    is a pure function of (template, services) and comes from the shared
-  //    cache — the node pays one tree copy, not a rebuild plus a customize
-  //    pass. Simulated customize *time* is still charged per node: the cache
-  //    is a simulator optimization, not a change to the modeled daemon.
+  // 3. The guest root filesystem: template, optional tailoring, then the
+  //    application image merged into the root (the service image is part of
+  //    the root file system, §4.3). The tree is a pure function of (image,
+  //    customize flag, services) and immutable once built, so it comes from
+  //    the world's shared cache — guests of one image share one tree and the
+  //    node copies nothing. Simulated customize *time* is still charged per
+  //    node: sharing is a simulator optimization, not a change to the
+  //    modeled daemon.
+  auto rootfs = rootfs_cache_->get(image_ptr, command.customize_rootfs,
+                                   required_services);
+  if (!rootfs.ok()) {
+    fail(rootfs.error().message);
+    return;
+  }
   sim::SimTime customize_time = sim::SimTime::zero();
-  os::RootFs rootfs;
   if (command.customize_rootfs) {
-    auto customized =
-        os::cached_customized_rootfs(image.rootfs_template, required_services);
-    if (!customized.ok()) {
-      fail("rootfs customization failed: " + customized.error().message);
-      return;
-    }
     const std::size_t candidates =
         os::cached_base_rootfs(image.rootfs_template).enabled_services.size();
     customize_time = sim::SimTime::seconds(
         kCustomizePerServiceGhzS * static_cast<double>(candidates) /
         host_.spec().cpu_ghz);
-    rootfs = *customized.value();
-  } else {
-    rootfs = os::cached_base_rootfs(image.rootfs_template);
-  }
-  if (auto merged = rootfs.fs.copy_from(image.payload, "/", "/"); !merged.ok()) {
-    fail("image merge failed: " + merged.error().message);
-    return;
   }
 
   // 4. Create the UML with the slice's memory as its usage limit.
@@ -216,7 +210,8 @@ void SodaDaemon::continue_priming(PrimeCommand command,
     fail("slice memory too small for guest kernel + application");
     return;
   }
-  auto uml = std::make_unique<vm::UserModeLinux>(std::move(rootfs), memory_mb);
+  auto uml = std::make_unique<vm::UserModeLinux>(std::move(rootfs).value(),
+                                                 memory_mb);
   const vm::BootReport boot_plan = uml->plan_boot(host_.spec());
   const sim::SimTime app_start_time =
       sim::SimTime::seconds(app_start_ghz_s / host_.spec().cpu_ghz);
@@ -467,7 +462,9 @@ void SodaDaemon::save_state(snapshot::Writer& writer) const {
       writer.i64(node.public_endpoint()->port);
     }
     writer.i64(node.uml().memory_cap_mb());
-    os::save_rootfs(writer, node.uml().rootfs());
+    // Guests of one image share one tree: serialize it once per snapshot.
+    const os::RootFs& rootfs = node.uml().rootfs();
+    writer.shared(&rootfs, [&] { os::save_rootfs(writer, rootfs); });
     node.uml().save_state(writer);
     // Priming report (Table 2 series) and slice bookkeeping.
     writer.time(record.report.download_time);
@@ -517,7 +514,18 @@ void SodaDaemon::load_state(snapshot::Reader& reader) {
       endpoint = ep;
     }
     const std::int64_t memory_mb = reader.i64();
-    os::RootFs rootfs = os::load_rootfs(reader);
+    if (reader.ok() && memory_mb <= vm::UserModeLinux::kKernelMemoryMb) {
+      reader.fail("node " + node_name + ": memory " +
+                  std::to_string(memory_mb) + " MB does not exceed the " +
+                  std::to_string(vm::UserModeLinux::kKernelMemoryMb) +
+                  " MB guest kernel");
+    }
+    // Guests whose rootfs bytes are identical (every guest of one image)
+    // get one shared tree again.
+    auto rootfs = reader.shared<os::RootFs>("rootfs", [&] {
+      return std::make_shared<const os::RootFs>(os::load_rootfs(reader));
+    });
+    if (!reader.ok()) return;
     // Host slices, IP assignments, bridge/proxy entries, shaper shares, and
     // the node's flow-network port were all restored wholesale with the host
     // and network tables — reconstruction here must NOT touch any of them.

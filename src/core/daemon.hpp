@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/guest_rootfs.hpp"
 #include "core/ids.hpp"
 #include "host/host.hpp"
 #include "image/distributor.hpp"
@@ -203,6 +204,13 @@ class SodaDaemon {
   void save_state(snapshot::Writer& writer) const;
   void load_state(snapshot::Reader& reader);
 
+  /// Attaches the world's shared guest-rootfs cache (done by
+  /// register_daemon). Until then the daemon shares trees among its own
+  /// guests only.
+  void set_rootfs_cache(GuestRootFsCache* cache) noexcept {
+    rootfs_cache_ = cache;
+  }
+
   /// Attaches a trace log (emission is skipped when unset).
   void set_trace(TraceLog* trace) noexcept { trace_ = trace; }
 
@@ -231,7 +239,7 @@ class SodaDaemon {
   void release_node_state(NodeRecord& record, bool crashed);
 
   /// Stage 2 of priming, after the image arrived.
-  void continue_priming(PrimeCommand command, image::ServiceImage image,
+  void continue_priming(PrimeCommand command, image::ImagePtr image,
                         host::SliceId slice, sim::SimTime download_started,
                         sim::SimTime downloaded_at, PrimeCallback done);
 
@@ -254,6 +262,8 @@ class SodaDaemon {
   HostId host_id_;
   TraceLog* trace_ = nullptr;
   ControlPlaneBus* bus_ = nullptr;
+  GuestRootFsCache own_rootfs_cache_;
+  GuestRootFsCache* rootfs_cache_ = &own_rootfs_cache_;
   bool alive_ = true;
   bool heartbeating_ = false;
   sim::SimTime heartbeat_interval_ = sim::SimTime::zero();

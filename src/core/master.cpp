@@ -91,6 +91,7 @@ Status SodaMaster::register_daemon(SodaDaemon* daemon) {
   daemon->distributor().configure(config_.distribution);
   daemon->distributor().set_directory(&directory_);
   daemon->distributor().set_registry(&chunk_registry_);
+  daemon->set_rootfs_cache(&guest_rootfs_);
   daemon->set_bus(&bus_);
   planner_.add_host(*daemon);
   recovery_.on_host_registered(*daemon);
@@ -105,6 +106,7 @@ Status SodaMaster::attach_restored_daemon(SodaDaemon* daemon) {
   daemon->distributor().configure(config_.distribution);
   daemon->distributor().set_directory(&directory_);
   daemon->distributor().set_registry(&chunk_registry_);
+  daemon->set_rootfs_cache(&guest_rootfs_);
   daemon->set_bus(&bus_);
   planner_.add_host(*daemon);
   return {};
@@ -199,10 +201,11 @@ void SodaMaster::warm_hosts(const image::ImageLocation& location,
   join->pending = targets.size();
   for (SodaDaemon* daemon : targets) {
     // The fetch lands the chunks in the host's cache (and registry); the
-    // image copy itself is discarded — priming re-fetches it for free.
+    // shared image pointer it delivers is dropped — priming re-fetches it
+    // from the warm cache.
     daemon->distributor().fetch(
         *repo, location,
-        [join, done](Result<image::ServiceImage> image, sim::SimTime now) {
+        [join, done](Result<image::ImagePtr> image, sim::SimTime now) {
           if (!image.ok() && !join->failed) {
             join->failed = true;
             join->first_error = image.error().message;

@@ -99,6 +99,12 @@ class SodaMaster {
     return chunk_registry_;
   }
 
+  /// The world's shared guest root filesystems (one per image, customize
+  /// flag and service set), wired into every daemon at registration.
+  [[nodiscard]] const GuestRootFsCache& guest_rootfs() const noexcept {
+    return guest_rootfs_;
+  }
+
   using WarmCallback = std::function<void(Status, sim::SimTime)>;
   /// Admission-time prefetch: pre-populates the named hosts' chunk caches
   /// with `location`'s image (coalescing with any priming already in
@@ -297,6 +303,7 @@ class SodaMaster {
   InternTable host_names_;            // host name -> dense HostId
   image::RepositoryDirectory directory_;
   image::ChunkRegistry chunk_registry_;
+  GuestRootFsCache guest_rootfs_;
   std::map<std::uint64_t, PoolSpan> pools_;  // pool start -> span
   ServiceTable services_;
   HostSet down_hosts_;

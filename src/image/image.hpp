@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,12 @@ struct ServiceImage {
   /// metadata/padding overhead and a fixed header block.
   [[nodiscard]] std::int64_t packaged_bytes() const noexcept;
 };
+
+/// A published image. Repositories hand out this pointer instead of copies:
+/// a published image never changes, and whoever holds the pointer (a
+/// download in flight, a guest-rootfs cache entry) keeps it alive past a
+/// withdrawal.
+using ImagePtr = std::shared_ptr<const ServiceImage>;
 
 /// Fluent builder so examples and tests read declaratively.
 class ServiceImageBuilder {

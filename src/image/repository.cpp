@@ -17,7 +17,8 @@ Result<ImageLocation> ImageRepository::publish(ServiceImage image) {
   }
   const std::string path = path_for(image);
   images_.emplace(image.name, path);
-  by_path_.emplace(path, std::move(image));
+  by_path_.emplace(path,
+                   std::make_shared<const ServiceImage>(std::move(image)));
   return ImageLocation{name_, path};
 }
 
@@ -29,10 +30,10 @@ bool ImageRepository::withdraw(const std::string& name) {
   return true;
 }
 
-Result<const ServiceImage*> ImageRepository::lookup(const std::string& path) const {
+Result<ImagePtr> ImageRepository::lookup(const std::string& path) const {
   auto it = by_path_.find(path);
   if (it == by_path_.end()) return Error{"404: no image at " + path};
-  return &it->second;
+  return it->second;
 }
 
 net::HttpResponse ImageRepository::handle(const net::HttpRequest& request) const {
@@ -68,7 +69,7 @@ void ImageRepository::save_state(snapshot::Writer& writer) const {
   writer.u64(by_path_.size());
   for (const auto& [path, image] : by_path_) {
     writer.str(path);
-    save_image(writer, image);
+    save_image(writer, *image);
   }
   writer.i64(fail_next_);
   writer.end_section();
@@ -81,8 +82,8 @@ void ImageRepository::load_state(snapshot::Reader& reader) {
   const std::uint64_t count = reader.u64();
   for (std::uint64_t i = 0; reader.ok() && i < count; ++i) {
     std::string path = reader.str();
-    ServiceImage image = load_image(reader);
-    images_.emplace(image.name, path);
+    auto image = std::make_shared<const ServiceImage>(load_image(reader));
+    images_.emplace(image->name, path);
     by_path_.emplace(std::move(path), std::move(image));
   }
   fail_next_ = static_cast<int>(reader.i64());

@@ -35,8 +35,8 @@ class ImageRepository {
   bool withdraw(const std::string& name);
 
   /// The image behind `path` ("/images/<name>-<version>.rpm"), or an error
-  /// mirroring an HTTP 404.
-  Result<const ServiceImage*> lookup(const std::string& path) const;
+  /// mirroring an HTTP 404. The pointer is shared, never a copy.
+  Result<ImagePtr> lookup(const std::string& path) const;
 
   /// Handles a GET for an image; 200 with Content-Length of the packaged
   /// bytes, or 404. The body carries a placeholder marker rather than real
@@ -64,7 +64,7 @@ class ImageRepository {
 
   std::string name_;
   net::NodeId node_;
-  std::map<std::string, ServiceImage> by_path_;
+  std::map<std::string, ImagePtr> by_path_;
   std::map<std::string, std::string> images_;  // name -> path
   /// mutable: serving a 503 consumes one injected failure, but handle() is
   /// semantically const for callers (content is untouched).

@@ -37,6 +37,10 @@ Result<std::vector<std::string>> FileSystem::split_path(std::string_view path) {
     if (next == std::string_view::npos) next = path.size();
     if (next == pos) return Error{"empty path component in " + std::string(path)};
     parts.emplace_back(path.substr(pos, next - pos));
+    if (parts.size() > static_cast<std::size_t>(kMaxDepth)) {
+      return Error{"path nests deeper than " + std::to_string(kMaxDepth) +
+                   " levels: " + std::string(path)};
+    }
     pos = next + 1;
   }
   return parts;
@@ -239,20 +243,51 @@ void FileSystem::save_state(snapshot::Writer& writer) const {
 
 void FileSystem::load_state(snapshot::Reader& reader) {
   reader.begin_section("filesystem");
-  auto load_node = [&reader](auto&& self, Node& node) -> void {
-    node.type = static_cast<FileType>(reader.u8());
-    node.size_bytes = reader.i64();
-    node.children.clear();
+  // Smallest encoding of one child: name length (u32), type (u8), size
+  // (i64) and child count (u64).
+  constexpr std::size_t kMinChildBytes = 4 + 1 + 8 + 8;
+  auto load_node = [&reader](auto&& self, Node& node, int depth) -> void {
+    const std::uint8_t type = reader.u8();
+    const std::int64_t size = reader.i64();
     const std::uint64_t count = reader.u64();
+    if (!reader.ok()) return;
+    if (type != static_cast<std::uint8_t>(FileType::kRegular) &&
+        type != static_cast<std::uint8_t>(FileType::kDirectory)) {
+      reader.fail("filesystem: unknown file type " + std::to_string(type));
+      return;
+    }
+    if (size < 0) {
+      reader.fail("filesystem: negative file size " + std::to_string(size));
+      return;
+    }
+    if (type == static_cast<std::uint8_t>(FileType::kRegular) &&
+        (count > 0 || depth == 0)) {
+      reader.fail(depth == 0 ? "filesystem: root is not a directory"
+                             : "filesystem: regular file with children");
+      return;
+    }
+    if (count > 0 && depth >= kMaxDepth) {
+      reader.fail("filesystem: nesting deeper than " +
+                  std::to_string(kMaxDepth) + " levels");
+      return;
+    }
+    if (count > reader.remaining() / kMinChildBytes) {
+      reader.fail("filesystem: " + std::to_string(count) +
+                  " children do not fit in the bytes left");
+      return;
+    }
+    node.type = static_cast<FileType>(type);
+    node.size_bytes = size;
+    node.children.clear();
     for (std::uint64_t i = 0; reader.ok() && i < count; ++i) {
       std::string name = reader.str();
       auto child = std::make_unique<Node>();
-      self(self, *child);
+      self(self, *child, depth + 1);
       node.children.emplace(std::move(name), std::move(child));
     }
   };
   root_ = std::make_unique<Node>();
-  load_node(load_node, *root_);
+  load_node(load_node, *root_, 0);
   reader.end_section();
 }
 

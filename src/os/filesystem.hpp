@@ -32,7 +32,9 @@ struct FileInfo {
 class FileSystem {
  public:
   FileSystem();
-  // Deep-copying a filesystem is meaningful (image replication onto nodes).
+  // A deep copy is what a guest tree is built from (the customized template
+  // copied, then the image payload merged in); the built tree is then
+  // shared, immutable, by every guest of that image.
   FileSystem(const FileSystem& other);
   FileSystem& operator=(const FileSystem& other);
   FileSystem(FileSystem&&) noexcept = default;
@@ -72,14 +74,25 @@ class FileSystem {
   Status copy_from(const FileSystem& src, std::string_view src_path,
                    std::string_view dst_path);
 
-  /// Splits "/a/b/c" into {"a","b","c"}; rejects empty components and
-  /// non-absolute paths.
+  /// Splits "/a/b/c" into {"a","b","c"}; rejects empty components,
+  /// non-absolute paths and more than kMaxDepth components.
   static Result<std::vector<std::string>> split_path(std::string_view path);
 
   /// Checkpoints the whole tree (structure + sizes — content is never
   /// stored). Children serialize in map order, so save is deterministic.
+  /// load_state rejects a tree that no FileSystem call could build (an
+  /// unknown file type, a negative size, a regular file with children or
+  /// as the root),
+  /// nesting deeper than kMaxDepth, and a child count the bytes left cannot
+  /// hold, each before allocating for it.
   void save_state(snapshot::Writer& writer) const;
   void load_state(snapshot::Reader& reader);
+
+  /// Deepest nesting a tree may have, built or restored. The paper's
+  /// templates and images nest at most 6 levels; the bound keeps a crafted
+  /// snapshot from recursing the loader (and every later tree walk) off the
+  /// stack.
+  static constexpr int kMaxDepth = 64;
 
  private:
   struct Node {

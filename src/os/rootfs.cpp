@@ -220,6 +220,27 @@ Result<const RootFs*> cached_customized_rootfs(
   return cache.back().rootfs.get();
 }
 
+Result<RootFs> build_guest_rootfs(
+    RootFsTemplate t, bool customize,
+    const std::vector<std::string>& required_services,
+    const FileSystem& payload) {
+  RootFs rootfs;
+  if (customize) {
+    auto customized = cached_customized_rootfs(t, required_services);
+    if (!customized.ok()) {
+      return Error{"rootfs customization failed: " +
+                   customized.error().message};
+    }
+    rootfs = *customized.value();
+  } else {
+    rootfs = cached_base_rootfs(t);
+  }
+  if (auto merged = rootfs.fs.copy_from(payload, "/", "/"); !merged.ok()) {
+    return Error{"image merge failed: " + merged.error().message};
+  }
+  return rootfs;
+}
+
 Result<RootFs> customize_rootfs(const RootFs& base,
                                 const std::vector<std::string>& required_services) {
   const ServiceCatalog& catalog = standard_service_catalog();

@@ -44,8 +44,8 @@ struct RootFs {
 };
 
 /// Checkpoints a RootFs verbatim (tree, enabled services, packages). Used
-/// for live guests, whose trees have been customized and mutated since
-/// construction — cheaper and safer than replaying the build pipeline.
+/// for live guests, whose trees were customized and merged with their
+/// image at priming — cheaper and safer than replaying the build pipeline.
 inline void save_rootfs(snapshot::Writer& writer, const RootFs& rootfs) {
   writer.begin_section("rootfs");
   writer.str(rootfs.template_name);
@@ -97,6 +97,16 @@ const RootFs& cached_base_rootfs(RootFsTemplate t);
 /// distinct (template, services) pair. Callers copy what they mutate.
 Result<const RootFs*> cached_customized_rootfs(
     RootFsTemplate t, const std::vector<std::string>& required_services);
+
+/// A guest's root filesystem as the SODA Daemon primes it (paper §4.3):
+/// template `t`, tailored to `required_services` when `customize` is set,
+/// with the application image's `payload` merged into its root. A pure
+/// function of its arguments. The tailored template comes from the cache
+/// above, so a call pays one tree copy plus the merge.
+Result<RootFs> build_guest_rootfs(
+    RootFsTemplate t, bool customize,
+    const std::vector<std::string>& required_services,
+    const FileSystem& payload);
 
 /// SODA Daemon rootfs tailoring: keeps only `required_services` (plus their
 /// dependency closure) of `base`'s enabled services, and only the packages

@@ -126,6 +126,35 @@ bool Reader::need(std::size_t n, const char* what) {
   return true;
 }
 
+std::size_t Reader::remaining() const noexcept {
+  if (!ok()) return 0;
+  const std::size_t end =
+      open_sections_.empty() ? payload_end_ : open_sections_.back().second;
+  return end - cursor_;
+}
+
+std::string_view Reader::peek_section(std::string_view name) const {
+  const std::size_t header = 2 + name.size() + 8;
+  if (remaining() < header) return {};
+  std::size_t at = cursor_;
+  std::uint16_t name_size = 0;
+  for (int i = 0; i < 2; ++i) {
+    name_size |= static_cast<std::uint16_t>(
+        static_cast<unsigned char>(bytes_[at++]) << (i * 8));
+  }
+  if (name_size != name.size() || bytes_.substr(at, name.size()) != name) {
+    return {};
+  }
+  at += name.size();
+  std::uint64_t length = 0;
+  for (int i = 0; i < 8; ++i) {
+    length |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes_[at++]))
+              << (i * 8);
+  }
+  if (remaining() - header < length) return {};
+  return bytes_.substr(cursor_, header + length);
+}
+
 std::uint8_t Reader::u8() {
   if (!need(1, "u8")) return 0;
   return static_cast<std::uint8_t>(bytes_[cursor_++]);

@@ -13,8 +13,12 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -58,9 +62,31 @@ class Writer {
     return buffer_.size();
   }
 
+  /// Writes an object that several owners share, serializing it once per
+  /// snapshot: the first call for `key` runs `write` and remembers the bytes
+  /// it appended; later calls for the same key append a copy of them. The
+  /// layout is unchanged (every owner still carries its own copy), because
+  /// section lengths are relative and so the bytes are position-independent.
+  /// `write` must close every section it opens, and `key` must stay alive
+  /// and unchanged until finish().
+  template <typename Write>
+  void shared(const void* key, Write&& write) {
+    if (const auto it = shared_.find(key); it != shared_.end()) {
+      const auto [begin, size] = it->second;
+      const std::size_t at = buffer_.size();
+      buffer_.resize(at + size);
+      std::memcpy(buffer_.data() + at, buffer_.data() + begin, size);
+      return;
+    }
+    const std::size_t begin = buffer_.size();
+    write();
+    shared_.emplace(key, std::make_pair(begin, buffer_.size() - begin));
+  }
+
  private:
   std::string buffer_;
   std::vector<std::size_t> open_sections_;  // offsets of length placeholders
+  std::map<const void*, std::pair<std::size_t, std::size_t>> shared_;
 };
 
 /// Deserializer with sticky error state: the first failure (bad magic,
@@ -87,6 +113,30 @@ class Reader {
   /// Leaves the innermost section; fails unless exactly consumed.
   void end_section();
 
+  /// Bytes left to read in the innermost open section (in the whole
+  /// snapshot outside any section); 0 once a read has failed. Loaders bound
+  /// a restored count by it before allocating.
+  [[nodiscard]] std::size_t remaining() const noexcept;
+
+  /// Loads an object that several owners share: when the next section,
+  /// named `name`, is byte-identical to one this Reader already loaded
+  /// through shared(), skips it and returns that object; otherwise runs
+  /// `load` and remembers its result under those bytes. One object type per
+  /// section name.
+  template <typename T, typename Load>
+  std::shared_ptr<const T> shared(std::string_view name, Load&& load) {
+    const std::string_view bytes = peek_section(name);
+    if (!bytes.empty()) {
+      if (const auto it = shared_.find(bytes); it != shared_.end()) {
+        cursor_ += bytes.size();
+        return std::static_pointer_cast<const T>(it->second);
+      }
+    }
+    std::shared_ptr<const T> value = load();
+    if (ok() && !bytes.empty()) shared_.emplace(bytes, value);
+    return value;
+  }
+
   /// True while no read has failed.
   [[nodiscard]] bool ok() const noexcept { return error_.empty(); }
   /// The first failure, empty while ok().
@@ -101,12 +151,19 @@ class Reader {
 
  private:
   [[nodiscard]] bool need(std::size_t n, const char* what);
+  /// The raw bytes (header included) of the next section if it is named
+  /// `name` and lies within the open section; empty otherwise. Consumes
+  /// nothing and records no error.
+  [[nodiscard]] std::string_view peek_section(std::string_view name) const;
 
   std::string_view bytes_;
   std::size_t cursor_ = 0;
   std::size_t payload_end_ = 0;  // checksum excluded
   std::vector<std::pair<std::string, std::size_t>> open_sections_;
   std::string error_;
+  // Sections loaded through shared(), keyed by their bytes (views into
+  // bytes_, which outlives the Reader).
+  std::map<std::string_view, std::shared_ptr<const void>> shared_;
 };
 
 /// Writes `bytes` to `path` atomically enough for checkpoint artifacts

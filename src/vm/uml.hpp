@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "host/host.hpp"
@@ -35,12 +36,15 @@ struct BootReport {
   }
 };
 
-/// One UML instance. Owns the guest root filesystem and process table.
+/// One UML instance. Owns its process table; its root filesystem is
+/// immutable once primed, so guests of one image share one tree.
 class UserModeLinux {
  public:
   /// `memory_mb` is the UML memory-usage limit passed at start (the only
-  /// resource cap the original UML supports natively).
-  UserModeLinux(os::RootFs rootfs, std::int64_t memory_mb);
+  /// resource cap the original UML supports natively). `rootfs` must be
+  /// non-null.
+  UserModeLinux(std::shared_ptr<const os::RootFs> rootfs,
+                std::int64_t memory_mb);
 
   /// Computes the boot-time breakdown on `host` hardware without changing
   /// state (used by the daemon to schedule the boot completion event).
@@ -74,7 +78,7 @@ class UserModeLinux {
   [[nodiscard]] sim::SimTime syscall_time(Syscall call, double cpu_ghz) const;
 
   [[nodiscard]] VmState state() const noexcept { return state_; }
-  [[nodiscard]] const os::RootFs& rootfs() const noexcept { return rootfs_; }
+  [[nodiscard]] const os::RootFs& rootfs() const noexcept { return *rootfs_; }
   [[nodiscard]] os::ProcessTable& processes() noexcept { return processes_; }
   [[nodiscard]] const os::ProcessTable& processes() const noexcept {
     return processes_;
@@ -93,7 +97,8 @@ class UserModeLinux {
   /// Checkpoints VM state, memory accounting, and the guest process table.
   /// The rootfs is NOT covered here: the owner serializes it separately
   /// (os::save_rootfs) and constructs the restored UML from it, because the
-  /// rootfs is a constructor argument, not mutable post-construction state.
+  /// rootfs is a constructor argument, not mutable post-construction state
+  /// (and is shared between guests).
   void save_state(snapshot::Writer& writer) const {
     writer.begin_section("uml");
     writer.i64(memory_cap_mb_);
@@ -116,7 +121,7 @@ class UserModeLinux {
   }
 
  private:
-  os::RootFs rootfs_;
+  std::shared_ptr<const os::RootFs> rootfs_;
   std::int64_t memory_cap_mb_;
   std::int64_t memory_used_mb_ = 0;
   VmState state_ = VmState::kStopped;

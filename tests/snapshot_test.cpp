@@ -9,7 +9,9 @@
 
 #include "core/hup.hpp"
 #include "image/image.hpp"
+#include "os/filesystem.hpp"
 #include "snapshot/format.hpp"
+#include "vm/uml.hpp"
 
 namespace soda {
 namespace {
@@ -331,6 +333,111 @@ TEST(SnapshotWorld, GoldenCheckpointStillLoads) {
   const core::ServiceRecord* record = restored.master().find_service("web");
   ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->lifecycle.state(), core::ServiceState::kRunning);
+}
+
+// --- Malformed guest trees ---------------------------------------------------
+// Each case mutates one field of a saved world's first guest rootfs, re-seals
+// the checksum so only the field is wrong, and expects a load error (never
+// an abort).
+
+class BadGuestTree : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto tb = core::Hup::paper_testbed();
+    tb.hup->agent().register_asp("asp", "key");
+    // A payload nested to the deepest level a tree may have, with a sibling
+    // file after the deepest leaf.
+    auto img = image::web_content_image(kMiB);
+    std::string deep;
+    for (int i = 1; i < os::FileSystem::kMaxDepth; ++i) deep += "/d";
+    must(img.payload.add_file(deep + "/deepleaf", 1));
+    must(img.payload.add_file(deep + "/zz", 1));
+    const auto loc = must(tb.repo->publish(std::move(img)));
+    must(create_service(*tb.hup, loc, "web", 1));
+    saved_ = must(tb.hup->save_snapshot());
+    core::Hup restored;
+    ASSERT_TRUE(restored.load_snapshot(saved_).ok());
+    rootfs_ = saved_.find(std::string("\x06\x00rootfs", 8));
+    ASSERT_NE(rootfs_, std::string::npos);
+  }
+
+  /// Offset of the (type u8, size i64, child count u64) header of the guest
+  /// tree's first node named `name`; "/" names the root.
+  std::size_t node(const std::string& name) const {
+    if (name == "/") {
+      const std::size_t fs =
+          saved_.find(std::string("\x0a\x00" "filesystem", 12), rootfs_);
+      return fs + 2 + 10 + 8;
+    }
+    std::string needle(4, '\0');
+    needle[0] = static_cast<char>(name.size());
+    needle += name;
+    return saved_.find(needle, rootfs_) + needle.size();
+  }
+
+  struct Write {
+    std::size_t at;
+    std::uint64_t value;
+    int width = 8;  // bytes, little-endian
+  };
+
+  /// Loads `saved_` with `writes` applied and the checksum re-sealed.
+  Status load_with(std::initializer_list<Write> writes) const {
+    std::string bytes = saved_;
+    for (const Write& w : writes) {
+      for (int i = 0; i < w.width; ++i) {
+        bytes[w.at + i] = static_cast<char>((w.value >> (8 * i)) & 0xFF);
+      }
+    }
+    const std::uint64_t sum =
+        snapshot::fnv1a(std::string_view(bytes.data(), bytes.size() - 8));
+    for (int i = 0; i < 8; ++i) {
+      bytes[bytes.size() - 8 + i] = static_cast<char>((sum >> (8 * i)) & 0xFF);
+    }
+    core::Hup restored;
+    return restored.load_snapshot(bytes);
+  }
+
+  static void expect_error(const Status& status, const std::string& text) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.error().message.find(text), std::string::npos)
+        << status.error().message;
+  }
+
+  std::string saved_;
+  std::size_t rootfs_ = 0;
+};
+
+TEST_F(BadGuestTree, UnknownFileTypeIsRejected) {
+  expect_error(load_with({{node("/"), 7, 1}}), "unknown file type 7");
+}
+
+TEST_F(BadGuestTree, NegativeSizeIsRejected) {
+  expect_error(
+      load_with({{node("deepleaf") + 1, static_cast<std::uint64_t>(-5)}}),
+      "negative file size");
+}
+
+TEST_F(BadGuestTree, RegularFileWithChildrenIsRejected) {
+  expect_error(load_with({{node("srv"), 0, 1}}), "regular file with children");
+  expect_error(load_with({{node("/"), 0, 1}}), "root is not a directory");
+}
+
+TEST_F(BadGuestTree, NestingPastTheBoundIsRejected) {
+  // The deepest leaf becomes a directory whose one child is its sibling.
+  const std::size_t leaf = node("deepleaf");
+  expect_error(load_with({{leaf, 1, 1}, {leaf + 9, 1}}),
+               "nesting deeper than 64 levels");
+}
+
+TEST_F(BadGuestTree, ChildCountBeyondTheBytesLeftIsRejected) {
+  expect_error(load_with({{node("/") + 9, std::uint64_t{1} << 40}}),
+               "do not fit in the bytes left");
+}
+
+TEST_F(BadGuestTree, GuestMemoryNoLargerThanTheKernelIsRejected) {
+  expect_error(load_with({{rootfs_ - 8, vm::UserModeLinux::kKernelMemoryMb}}),
+               "does not exceed the 16 MB guest kernel");
 }
 
 }  // namespace
